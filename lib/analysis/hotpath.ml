@@ -90,6 +90,35 @@ let manifest =
       functions = [ "push"; "pop_into"; "steal_into"; "size" ];
       cold = [];
     };
+    { file = "lib/apps/kvstore.ml";
+      (* the memcached GET by key index (once per request) and the
+         dataset build loop (once per key, before every experiment
+         point): the key is hashed and compared where it lies, never
+         materialised. [create] allocates the store and the build's
+         reused key and value buffers by design and is not listed. *)
+      functions =
+        [
+          "get_index";
+          "probe_index";
+          "bcd";
+          "digit";
+          "hash_index";
+          "hash_digits";
+          "hash_tail";
+          "key_matches";
+          "digits_match";
+          "read_len";
+          "fill";
+          "empty_slot";
+          "write_digits";
+        ];
+      cold = [];
+    };
+    { file = "lib/apps/array_bench.ml";
+      (* the array build loop: one unboxed store per slot *)
+      functions = [ "fill"; "value_of_index" ];
+      cold = [];
+    };
   ]
 
 let entry_for file =

@@ -57,22 +57,23 @@ let app ?keys ?(value_bytes = 128) ?(zipf_theta = 0.) ?(set_fraction = 0.) () =
     (* the only preemption probe a straight-line GET has sits at the
        protocol-parse boundary, before the paged lookup *)
     ctx.App.checkpoint ();
-    let key = Kvstore.key_string store spec.Request.key in
     if spec.Request.kind = kind_set then begin
+      let key = Kvstore.key_string store spec.Request.key in
       let fresh = String.make value_bytes 'u' in
       ctx.App.compute
         (int_of_float (copy_cycles_per_byte *. float_of_int value_bytes));
       if not (Kvstore.put store ctx.App.view key fresh) then
         App.bad_request "memcached: SET on missing key %d" spec.Request.key
     end
-    else
-      match Kvstore.get store ctx.App.view key with
-      | None -> App.bad_request "memcached: key %d vanished" spec.Request.key
-      | Some value ->
-        ctx.App.compute compare_cycles;
-        ctx.App.compute
-          (int_of_float
-             (copy_cycles_per_byte *. float_of_int (String.length value)))
+    else begin
+      (* the reply cost depends only on the value's length *)
+      let len = Kvstore.get_index store ctx.App.view spec.Request.key in
+      if len < 0 then
+        App.bad_request "memcached: key %d vanished" spec.Request.key;
+      ctx.App.compute compare_cycles;
+      ctx.App.compute
+        (int_of_float (copy_cycles_per_byte *. float_of_int len))
+    end
   in
   {
     App.name = Printf.sprintf "memcached-%dB" value_bytes;

@@ -21,3 +21,10 @@ let read_blob t addr len = Bytes.sub t.data addr len
 let write_blob t addr b = Bytes.blit b 0 t.data addr (Bytes.length b)
 let blit_string t addr s = Bytes.blit_string s 0 t.data addr (String.length s)
 let read_string t addr len = Bytes.sub_string t.data addr len
+
+let rec equal_from data addr s i =
+  i >= String.length s
+  || Bytes.get data (addr + i) = String.unsafe_get s i
+     && equal_from data addr s (i + 1)
+
+let equal_string t addr s = equal_from t.data addr s 0

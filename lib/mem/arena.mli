@@ -41,3 +41,7 @@ val blit_string : t -> int -> string -> unit
 (** Write a string at [addr]. *)
 
 val read_string : t -> int -> int -> string
+
+val equal_string : t -> int -> string -> bool
+(** [equal_string t addr s]: the bytes at [addr] spell [s]. Compares in
+    place, copying nothing. *)

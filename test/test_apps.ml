@@ -44,18 +44,135 @@ let test_kvstore_put () =
     (Kvstore.put kv v k (String.make 100 'x'));
   check_bool "absent rejected" false (Kvstore.put kv v "missing" "v")
 
+(* The value for index [i] must carry [i]'s 12 digits: a key encoding
+   that collides (keys shorter than "key-" + 12 digits used to truncate
+   to the same string) hands back another index's value. Too-short keys
+   must be rejected up front instead. *)
 let prop_kvstore_matches_hashtbl =
   QCheck.Test.make ~name:"kvstore get matches reference" ~count:20
-    QCheck.(int_range 10 400)
-    (fun keys ->
-      let pages = Kvstore.pages_needed ~keys ~key_bytes:20 ~value_bytes:32 in
-      let v = direct_view ~pages in
-      let kv = Kvstore.create v ~keys ~key_bytes:20 ~value_bytes:32 in
-      let ok = ref true in
-      for i = 0 to keys - 1 do
-        if Kvstore.get kv v (Kvstore.key_string kv i) = None then ok := false
-      done;
-      !ok)
+    QCheck.(pair (int_range 10 400) (int_range 8 40))
+    (fun (keys, key_bytes) ->
+      match Kvstore.pages_needed ~keys ~key_bytes ~value_bytes:32 with
+      | exception Invalid_argument _ -> key_bytes < 16
+      | pages ->
+        let v = direct_view ~pages in
+        let kv = Kvstore.create v ~keys ~key_bytes ~value_bytes:32 in
+        let ok = ref (key_bytes >= 16) in
+        for i = 0 to keys - 1 do
+          let tag = Printf.sprintf "value-%012d-" i in
+          match Kvstore.get kv v (Kvstore.key_string kv i) with
+          | Some value when String.sub value 0 19 = tag -> ()
+          | _ -> ok := false
+        done;
+        !ok)
+
+let test_kvstore_short_keys_rejected () =
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted key_bytes:10" what
+  in
+  rejects "pages_needed" (fun () ->
+      Kvstore.pages_needed ~keys:100 ~key_bytes:10 ~value_bytes:32);
+  rejects "create" (fun () ->
+      ignore
+        (Kvstore.create (direct_view ~pages:64) ~keys:100 ~key_bytes:10
+           ~value_bytes:32))
+
+let test_kvstore_key_encoding () =
+  let pages = Kvstore.pages_needed ~keys:10 ~key_bytes:20 ~value_bytes:8 in
+  let kv =
+    Kvstore.create (direct_view ~pages) ~keys:10 ~key_bytes:20 ~value_bytes:8
+  in
+  check Alcotest.string "key 77" "key-000000000077kkkk"
+    (Kvstore.key_string kv 77);
+  check Alcotest.string "key 10^12-1" "key-999999999999kkkk"
+    (Kvstore.key_string kv 999_999_999_999)
+
+(* [get_index] must make exactly the touches the string-keyed [get]
+   makes, in the same order — faults, and so every simulated number,
+   depend on that sequence — and report the length of the value [get]
+   returns. [get] is the reference. *)
+let test_kvstore_get_index_touches () =
+  let run ~keys ~key_bytes ~value_bytes =
+    let pages = Kvstore.pages_needed ~keys ~key_bytes ~value_bytes in
+    let arena = Arena.create ~pages ~page_size:4096 in
+    let kv =
+      Kvstore.create (View.direct arena) ~keys ~key_bytes ~value_bytes
+    in
+    let log = ref [] in
+    let view =
+      View.make arena ~touch:(fun ~addr ~len ~write ->
+          log := (addr, len, write) :: !log)
+    in
+    let traced f =
+      log := [];
+      let r = f () in
+      (r, List.rev !log)
+    in
+    (* shrink a few values so the reported length is the stored one *)
+    for i = 0 to 9 do
+      ignore (Kvstore.put kv view (Kvstore.key_string kv (i * 7)) "short")
+    done;
+    let chains = ref 0 and misses = ref 0 in
+    for i = 0 to keys + 200 do
+      let key = Kvstore.key_string kv i in
+      let want, want_touches = traced (fun () -> Kvstore.get kv view key) in
+      let got, got_touches = traced (fun () -> Kvstore.get_index kv view i) in
+      let want_len = match want with Some v -> String.length v | None -> -1 in
+      check_int (Printf.sprintf "value length %d" i) want_len got;
+      if got_touches <> want_touches then
+        Alcotest.failf "index %d: touch sequences differ (%d vs %d touches)" i
+          (List.length got_touches) (List.length want_touches);
+      if want = None then incr misses;
+      (* a hit without collisions touches bucket, key length, key, value
+         length and value; a miss without collisions just the bucket *)
+      if List.length want_touches > (if want = None then 1 else 5) then
+        incr chains
+    done;
+    check_int "misses" 201 !misses;
+    check_bool "probe chains exercised" true (!chains > 0)
+  in
+  run ~keys:2000 ~key_bytes:50 ~value_bytes:128;
+  (* values shorter than "value-" + 12 digits + "-" are truncated *)
+  run ~keys:500 ~key_bytes:16 ~value_bytes:10
+
+(* Every registry app's dataset, built on a direct view, byte for byte.
+   Builds write the arena directly, bypassing View: a faster build must
+   not move one byte, since the faults — and so every simulated number —
+   follow the layout. *)
+let arena_digests =
+  [
+    ("array", "5de3af8b8e2c5ff73ccfdbe932b2fe65");
+    ("memcached", "b600811c820bdefbd502e3f3c24350ab");
+    ("memcached-1024", "2e3f3cf46e97c3f841da48cd0aee7be7");
+    ("rocksdb", "ce25a3742f3744d076f9a1e0d6cb0e7c");
+    ("rocksdb-scan", "ce25a3742f3744d076f9a1e0d6cb0e7c");
+    ("silo", "4e0df84946fa37f952c493f8935a3dda");
+    ("faiss", "3b67eee744bd330af62d50e847c59b23");
+  ]
+
+let test_registry_arena_digests () =
+  check
+    Alcotest.(list string)
+    "every registry app pinned" Adios_apps.Registry.names
+    (List.map fst arena_digests);
+  List.iter
+    (fun (name, digest) ->
+      let app =
+        match Adios_apps.Registry.find name with
+        | Some mk -> mk ()
+        | None -> Alcotest.failf "no app %s" name
+      in
+      let arena =
+        Arena.create ~pages:app.Adios_core.App.pages
+          ~page_size:app.Adios_core.App.page_size
+      in
+      app.Adios_core.App.build (View.direct arena);
+      let bytes = Arena.read_string arena 0 (Arena.size_bytes arena) in
+      check Alcotest.string name digest
+        (Digest.to_hex (Digest.string bytes)))
+    arena_digests
 
 (* --- scanstore -------------------------------------------------------------- *)
 
@@ -389,8 +506,18 @@ let () =
         [
           Alcotest.test_case "get" `Quick test_kvstore_get;
           Alcotest.test_case "put" `Quick test_kvstore_put;
+          Alcotest.test_case "short keys rejected" `Quick
+            test_kvstore_short_keys_rejected;
+          Alcotest.test_case "key encoding" `Quick test_kvstore_key_encoding;
+          Alcotest.test_case "get_index touches" `Quick
+            test_kvstore_get_index_touches;
           QCheck_alcotest.to_alcotest prop_kvstore_matches_hashtbl;
           QCheck_alcotest.to_alcotest prop_kvstore_updates_match_hashtbl;
+        ] );
+      ( "datasets",
+        [
+          Alcotest.test_case "registry arena digests" `Quick
+            test_registry_arena_digests;
         ] );
       ( "scanstore",
         [

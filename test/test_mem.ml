@@ -29,6 +29,15 @@ let test_arena_rw () =
   check_int "page_of_addr" 1 (Arena.page_of_addr a 4096);
   check_int "page_of_addr same page" 0 (Arena.page_of_addr a 4095)
 
+let test_arena_equal_string () =
+  let a = Arena.create ~pages:1 ~page_size:4096 in
+  Arena.blit_string a 10 "key-42";
+  check_bool "match" true (Arena.equal_string a 10 "key-42");
+  check_bool "prefix match" true (Arena.equal_string a 10 "key");
+  check_bool "empty" true (Arena.equal_string a 4000 "");
+  check_bool "mismatch" false (Arena.equal_string a 10 "key-43");
+  check_bool "offset" false (Arena.equal_string a 11 "key-42")
+
 (* --- pager ------------------------------------------------------------- *)
 
 let test_pager_transitions () =
@@ -262,7 +271,11 @@ let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "mem"
     [
-      ("arena", [ Alcotest.test_case "rw" `Quick test_arena_rw ]);
+      ( "arena",
+        [
+          Alcotest.test_case "rw" `Quick test_arena_rw;
+          Alcotest.test_case "equal_string" `Quick test_arena_equal_string;
+        ] );
       ( "pager",
         [
           Alcotest.test_case "transitions" `Quick test_pager_transitions;
