@@ -145,7 +145,7 @@ let progress_line quiet point r =
     Report.result_line r
   end
 
-let regen_golden dir jobs mode quiet =
+let regen_golden dir jobs quiet =
   if not (Sys.file_exists dir && Sys.is_directory dir) then begin
     Format.eprintf "adios_sweep: golden directory %s does not exist@." dir;
     exit 1
@@ -156,8 +156,7 @@ let regen_golden dir jobs mode quiet =
          with it on regenerates the main golden byte-identically while
          also producing the tail-forensics twin *)
       let run =
-        Sweep.run ~jobs ~mode ~profile:true ~progress:(progress_line quiet)
-          spec
+        Sweep.run ~jobs ~profile:true ~progress:(progress_line quiet) spec
       in
       let ds = Dataset.of_run ~cluster:(Spec.clustered spec) run in
       (match bundle spec ds with
@@ -198,13 +197,13 @@ let regen_golden dir jobs mode quiet =
    current one and the old snapshot is appended to its history, so the
    trajectory is never lost. [baseline], if given, gates the run on the
    deterministic [sim_events] of another bench file (never on time). *)
-let bench path jobs mode quiet label baseline =
+let bench path jobs quiet label baseline =
   let sweeps =
     List.map
       (fun (spec : Spec.t) ->
         (* lint: allow determinism -- wall-clock benchmark timing, not in a dataset *)
         let t0 = Unix.gettimeofday () in
-        let run = Sweep.run ~jobs ~mode ~progress:(progress_line quiet) spec in
+        let run = Sweep.run ~jobs ~progress:(progress_line quiet) spec in
         (* lint: allow determinism -- same benchmark timing *)
         let wall = Unix.gettimeofday () -. t0 in
         let events =
@@ -256,13 +255,13 @@ let bench path jobs mode quiet label baseline =
         Format.eprintf "adios_sweep: bench baseline: %s@." msg;
         1))
 
-let run spec_name systems apps loads requests seed jobs mode out golden oracle
+let run spec_name systems apps loads requests seed jobs out golden oracle
     knee_k json quiet regen bench_out bench_label bench_baseline profile =
   match (regen, bench_out) with
   | Some dir, _ ->
-    regen_golden dir jobs mode quiet;
+    regen_golden dir jobs quiet;
     0
-  | None, Some path -> bench path jobs mode quiet bench_label bench_baseline
+  | None, Some path -> bench path jobs quiet bench_label bench_baseline
   | None, None ->
     let spec =
       match spec_name with
@@ -291,7 +290,7 @@ let run spec_name systems apps loads requests seed jobs mode out golden oracle
     (* lint: allow determinism -- elapsed-time print only, not in the dataset *)
     let t0 = Unix.gettimeofday () in
     let results =
-      Sweep.run ~jobs ~mode ~profile ~progress:(progress_line quiet) spec
+      Sweep.run ~jobs ~profile ~progress:(progress_line quiet) spec
     in
     let ds = Dataset.of_run ~cluster:(Spec.clustered spec) results in
     let pds = if profile then Some (Dataset.phases_of_run results) else None in
@@ -415,22 +414,20 @@ let seed_arg =
            and its grid position.")
 
 let jobs_arg =
+  let positive_conv =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | _ -> Error (`Msg ("expected a positive integer, got " ^ s))),
+        Format.pp_print_int )
+  in
   Arg.(
-    value & opt int 1
+    value & opt positive_conv 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Run up to N points in parallel (1 = in-process sequential). \
            Results are identical either way.")
-
-let mode_arg =
-  Arg.(
-    value
-    & opt (enum [ ("fork", `Fork); ("domains", `Domains) ]) `Fork
-    & info [ "mode" ] ~docv:"MODE"
-        ~doc:
-          "Parallel backend when --jobs exceeds 1: 'fork' spawns worker \
-           processes, 'domains' runs a work-stealing domain pool in this \
-           process. Results are byte-identical across backends.")
 
 let out_arg =
   Arg.(
@@ -536,7 +533,7 @@ let cmd =
     (Cmd.info "adios_sweep" ~doc)
     Term.(
       const run $ spec_arg $ systems_arg $ apps_arg $ loads_arg $ requests_arg
-      $ seed_arg $ jobs_arg $ mode_arg $ out_arg $ golden_arg $ oracle_arg
+      $ seed_arg $ jobs_arg $ out_arg $ golden_arg $ oracle_arg
       $ knee_k_arg $ json_arg $ quiet_arg $ regen_arg $ bench_arg
       $ bench_label_arg $ bench_baseline_arg $ profile_arg)
 

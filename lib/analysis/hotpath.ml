@@ -82,14 +82,6 @@ let manifest =
       functions = [ "deliver_wr" ];
       cold = [];
     };
-    { file = "lib/par/deque.ml";
-      (* the work-stealing deque's per-task operations: the domain pool
-         calls these once per spawned/stolen task, and an allocation
-         here would put GC pressure on every worker domain at once.
-         [create] allocates the ring by design and is not listed. *)
-      functions = [ "push"; "pop_into"; "steal_into"; "size" ];
-      cold = [];
-    };
     { file = "lib/apps/kvstore.ml";
       (* the memcached GET by key index (once per request) and the
          dataset build loop (once per key, before every experiment

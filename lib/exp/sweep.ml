@@ -1,5 +1,4 @@
 module Runner = Adios_core.Runner
-module Pool = Adios_par.Pool
 
 (* One sweep point, in-process. The App.t is built fresh here so the
    point sees the same state whether it runs inline or in a forked
@@ -101,54 +100,9 @@ let run_forked ~jobs ~cfg_tweak ~profile ~progress spec points =
       | None -> assert false (* every index was reaped or we raised *))
     points
 
-(* Domain-parallel execution on the work-stealing pool in lib/par: one
-   task per point, results written straight into a shared array (no
-   marshalling — domains share the heap). Determinism is inherited
-   from [run_point] building every simulator, app and RNG fresh from
-   the point's own seed; the pool only decides *where* a point runs,
-   never what it sees. [progress] still fires in points order: each
-   completion drains the longest fully-finished prefix, mirroring the
-   forked backend's drain-in-spawn-order behaviour. *)
-let run_domains ~jobs ~cfg_tweak ~profile ~progress spec points =
-  let parr = Array.of_list points in
-  let n = Array.length parr in
-  let results = Array.make n None in
-  let tasks =
-    Array.map
-      (fun (p : Spec.point) () ->
-        match run_point ~cfg_tweak ~profile spec p with
-        | r -> results.(p.Spec.index) <- Some r
-        | exception e ->
-          failwith
-            (Printf.sprintf "sweep point %s: %s" (point_label p)
-               (Printexc.to_string e)))
-      parr
-  in
-  let emitted = ref 0 in
-  let emit_ready () =
-    let continue = ref true in
-    while !continue && !emitted < n do
-      match results.(!emitted) with
-      | Some r ->
-        progress parr.(!emitted) r;
-        incr emitted
-      | None -> continue := false
-    done
-  in
-  Pool.with_pool ~domains:jobs (fun pool ->
-      Pool.run_all pool tasks ~on_done:(fun _ -> emit_ready ()));
-  List.map
-    (fun (p : Spec.point) ->
-      match results.(p.Spec.index) with
-      | Some r -> (p, r)
-      | None -> assert false (* run_all re-raised any task failure *))
-    points
-
-let run ?(jobs = 1) ?(mode = `Fork) ?(cfg_tweak = fun c -> c)
-    ?(profile = false) ?(progress = fun _ _ -> ()) spec =
+let run ?(jobs = 1) ?(cfg_tweak = fun c -> c) ?(profile = false)
+    ?(progress = fun _ _ -> ()) spec =
+  if jobs < 1 then invalid_arg "Sweep.run: jobs < 1";
   let points = Spec.points spec in
-  if jobs <= 1 then run_sequential ~cfg_tweak ~profile ~progress spec points
-  else
-    match mode with
-    | `Fork -> run_forked ~jobs ~cfg_tweak ~profile ~progress spec points
-    | `Domains -> run_domains ~jobs ~cfg_tweak ~profile ~progress spec points
+  if jobs = 1 then run_sequential ~cfg_tweak ~profile ~progress spec points
+  else run_forked ~jobs ~cfg_tweak ~profile ~progress spec points

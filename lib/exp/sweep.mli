@@ -1,13 +1,10 @@
 (** Sweep execution: expand a {!Spec.t} into points and run them —
-    in-process ([jobs <= 1]), as up to [jobs] parallel forked worker
-    processes ([mode = `Fork], the default), or across [jobs] OCaml 5
-    domains on the work-stealing pool in lib/par ([mode = `Domains]).
-    Results are bit-identical across all three backends: every point
-    builds a fresh simulator, app and RNG from its own deterministic
-    seed, forked workers marshal the plain-data
-    {!Adios_core.Runner.result} back unchanged, and domain workers
-    share it directly. test/test_sweep.ml and the CI domains-smoke job
-    gate the byte-equality of the resulting CSVs on every reduced
+    in-process ([jobs = 1]) or as up to [jobs] parallel forked worker
+    processes ([jobs > 1]). Results are bit-identical either way: every
+    point builds a fresh simulator, app and RNG from its own
+    deterministic seed, and forked workers marshal the plain-data
+    {!Adios_core.Runner.result} back unchanged. test/test_sweep.ml
+    gates the byte-equality of the resulting CSVs on every golden
     spec. *)
 
 val run_point :
@@ -27,22 +24,18 @@ val point_label : Spec.point -> string
 
 val run :
   ?jobs:int ->
-  ?mode:[ `Fork | `Domains ] ->
   ?cfg_tweak:(Adios_core.Config.t -> Adios_core.Config.t) ->
   ?profile:bool ->
   ?progress:(Spec.point -> Adios_core.Runner.result -> unit) ->
   Spec.t ->
   (Spec.point * Adios_core.Runner.result) list
-(** Run the whole sweep. [jobs <= 1] runs sequentially in-process;
-    otherwise [mode] picks the parallel backend: [`Fork] (default)
-    spawns up to [jobs] worker processes, [`Domains] runs the points
-    across [jobs] shared-memory domains on a work-stealing pool.
-    Results are returned in {!Spec.points} order and are byte-identical
-    across backends; [progress] fires once per point, in points order
-    (fork: workers are drained in spawn order; domains: completions are
-    released as the finished prefix grows).
+(** Run the whole sweep. [jobs = 1] (default) runs sequentially
+    in-process; [jobs > 1] keeps up to [jobs] forked worker processes
+    busy, one point each. Results are returned in {!Spec.points} order
+    and are byte-identical either way; [progress] fires once per point,
+    in points order (workers are drained in spawn order).
 
-    @raise Failure if a worker process dies or a point raises. Fork:
-    remaining workers are killed first. Domains: remaining points still
-    run to completion before the failure surfaces (the pool is torn
-    down cleanly). *)
+    @raise Invalid_argument if [jobs < 1].
+    @raise Failure if a worker process dies before reporting or a point
+    raises; the message names the point ({!point_label}). The remaining
+    workers are killed and reaped first. *)

@@ -148,16 +148,9 @@ let test_clock () =
 (* --- sim -------------------------------------------------------------- *)
 
 (* Per-test [Sim] fixture: every sim/proc test below receives a fresh
-   simulator and its body runs on its own spawned domain, never the
-   main one. The `Domains sweep backend builds one simulator per point
-   on whichever worker domain steals it, so any hidden module-level
-   state in the engine — a shared table, a static counter, an implicit
-   RNG — would make results depend on which domain ran first; a fresh
-   domain per test keeps that honest. [Domain.join] re-raises the
-   body's exception, so alcotest failures surface unchanged. *)
+   simulator. *)
 let sim_case name body =
-  Alcotest.test_case name `Quick (fun () ->
-      Domain.join (Domain.spawn (fun () -> body (Sim.create ()))))
+  Alcotest.test_case name `Quick (fun () -> body (Sim.create ()))
 
 let test_sim_order sim =
   let log = ref [] in

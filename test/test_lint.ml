@@ -307,16 +307,17 @@ let test_zero_alloc_manifest_drift () =
        ~manifest:(manifest_of ~file:"lib/engine/sim.ml" [ "gone" ])
        ~path:"lib/engine/sim.ml" "let schedule q = q")
 
-(* The lib/par/deque.ml idiom the manifest entry certifies: atomic
-   accesses routed through the [yield_hook] seam (a dereference applied
-   as a function), unsafe array slots, and CAS. None of it allocates,
-   so the typed rule must stay quiet on exactly this shape. *)
+(* A lock-free ring in the idiom of a work-stealing deque: atomic
+   accesses routed through a [yield_hook] test seam (a dereference
+   applied as a function), unsafe array slots, and CAS. None of it
+   allocates, so the typed rule must stay quiet on exactly this shape —
+   the only fixture covering hook application, [Atomic] and CAS. *)
 let test_zero_alloc_deque_idiom () =
-  check_clean "the deque's hook-wrapped atomic idiom is allocation-free"
+  check_clean "the hook-wrapped atomic idiom is allocation-free"
     (tlint
        ~manifest:
-         (manifest_of ~file:"lib/par/deque.ml" [ "push"; "steal_into" ])
-       ~path:"lib/par/deque.ml"
+         (manifest_of ~file:"lib/engine/ring.ml" [ "push"; "steal_into" ])
+       ~path:"lib/engine/ring.ml"
        "let yield_hook : (unit -> unit) ref = ref ignore\n\
         let aget a = !yield_hook (); Atomic.get a\n\
         let acas a old v = !yield_hook (); Atomic.compare_and_set a old v\n\
@@ -331,12 +332,12 @@ let test_zero_alloc_deque_idiom () =
        \  else false")
 
 let test_zero_alloc_deque_boxed_steal () =
-  (* the regression the entry exists to catch: a steal that boxes its
-     result allocates an option per stolen task *)
+  (* the regression a manifest entry on such a ring exists to catch: a
+     steal that boxes its result allocates an option per stolen task *)
   check_fires "a steal returning an option is a finding" "zero-alloc"
     (tlint
-       ~manifest:(manifest_of ~file:"lib/par/deque.ml" [ "steal_into" ])
-       ~path:"lib/par/deque.ml"
+       ~manifest:(manifest_of ~file:"lib/engine/ring.ml" [ "steal_into" ])
+       ~path:"lib/engine/ring.ml"
        "let steal_into buf tp = Some (Array.unsafe_get buf (tp land 7))")
 
 let test_zero_alloc_suppressible () =

@@ -1,43 +1,33 @@
 (* Golden-tier sweep tests: run the canonical reduced array spec once and
    hold it against every figure-shape oracle plus the checked-in golden
-   CSV. The same run, repeated through the forked runner and through
-   the lib/par domains backend (every checked-in spec), must reproduce
-   the dataset bit-for-bit — the determinism claim the whole golden tier
-   rests on. The steal-reduced spec gets its own golden/oracle suite
-   for the Adios-vs-work-stealing dispatch contrast. Synthetic datasets
-   then exercise each oracle's failure direction, so a broken oracle
-   (one that never fires) also fails here. *)
+   CSV. Every checked-in spec, repeated through the forked runner, must
+   reproduce its sequential dataset bit-for-bit — the determinism claim
+   the whole golden tier rests on — and a point that raises or a worker
+   that dies must surface as a [Failure] naming the point, with no
+   worker left behind. The steal-reduced spec gets its own golden/oracle
+   suite for the Adios-vs-work-stealing dispatch contrast. Synthetic
+   datasets then exercise each oracle's failure direction, so a broken
+   oracle (one that never fires) also fails here. *)
 
 module Spec = Adios_exp.Spec
 module Sweep = Adios_exp.Sweep
 module Dataset = Adios_exp.Dataset
 module Oracle = Adios_exp.Oracle
 module Config = Adios_core.Config
-module Runner = Adios_core.Runner
-module Registry = Adios_obs.Registry
-module Openmetrics = Adios_obs.Openmetrics
-module Pool = Adios_par.Pool
 
 let check = Alcotest.check
 let no_violations name vs = check Alcotest.(list string) name [] vs
 
-(* One sequential run shared by every golden test below; a second run
-   through the forked workers checks replay identity. The shared run is
+(* One sequential run shared by every golden test below; the parallel
+   test replays it through the forked workers. The shared run is
    profiled: attribution is perturbation-free, so the main dataset must
    still match the unprofiled forked replay and the golden bytes — the
-   replay test doubles as the sweep-scale proof of that claim. *)
+   replay doubles as the sweep-scale proof of that claim. *)
 let sequential = lazy (Sweep.run ~jobs:1 ~profile:true Spec.reduced_array)
 let dataset = lazy (Dataset.of_run (Lazy.force sequential))
 let phase_dataset = lazy (Dataset.phases_of_run (Lazy.force sequential))
 
 (* --- the golden sweep --------------------------------------------------- *)
-
-let test_replay_bit_identical () =
-  let again = Sweep.run ~jobs:2 Spec.reduced_array in
-  check Alcotest.string
-    "same seed, same bytes (jobs=1 profiled vs jobs=2 unprofiled)"
-    (Dataset.to_csv (Lazy.force dataset))
-    (Dataset.to_csv (Dataset.of_run again))
 
 let test_golden_match () =
   match Dataset.load ~path:"golden/array-reduced.csv" with
@@ -110,18 +100,11 @@ let test_csv_round_trip () =
 (* --- the cluster golden -------------------------------------------------- *)
 
 (* The topology-grid sweep: one sequential run shared by the golden,
-   replay and oracle-bundle tests below. *)
+   oracle-bundle and parallel tests. *)
 let cluster_sequential = lazy (Sweep.run ~jobs:1 Spec.cluster_reduced)
 
 let cluster_dataset =
   lazy (Dataset.of_run ~cluster:true (Lazy.force cluster_sequential))
-
-let test_cluster_replay_bit_identical () =
-  let again = Sweep.run ~jobs:2 Spec.cluster_reduced in
-  check Alcotest.string
-    "same seed, same bytes across crash schedules (jobs=1 vs jobs=2)"
-    (Dataset.to_csv (Lazy.force cluster_dataset))
-    (Dataset.to_csv (Dataset.of_run ~cluster:true again))
 
 let test_cluster_golden_match () =
   match Dataset.load ~path:"golden/cluster-reduced.csv" with
@@ -157,7 +140,7 @@ let test_cluster_oracles () =
 (* --- the steal-dispatch golden ------------------------------------------- *)
 
 (* The Adios-vs-Steal dispatch contrast at 16 workers: one sequential
-   run shared by the golden, oracle-bundle and domains-backend tests. *)
+   run shared by the golden, oracle-bundle and parallel tests. *)
 let steal_sequential = lazy (Sweep.run ~jobs:1 Spec.steal_reduced)
 let steal_dataset = lazy (Dataset.of_run (Lazy.force steal_sequential))
 
@@ -188,7 +171,7 @@ let test_steal_oracles () =
          && Dataset.geti ds row "steals" > 0)
        ds.Dataset.rows)
 
-(* --- the domains backend ------------------------------------------------- *)
+(* --- the parallel runner ------------------------------------------------- *)
 
 (* Sequential baselines, reusing the shared lazy runs where one exists
    so each spec is simulated sequentially at most once per process. *)
@@ -201,44 +184,69 @@ let baseline spec =
 let spec_csv spec run =
   Dataset.to_csv (Dataset.of_run ~cluster:(Spec.clustered spec) run)
 
-(* The `Domains claim from sweep.mli, gated on every checked-in spec:
-   four shared-memory domains on the work-stealing pool produce the
-   same CSV bytes as the in-process sequential runner. Together with
-   the jobs=2 fork tests above this pins all three backends to one
-   output. *)
-let test_domains_bit_identical () =
+(* The claim from sweep.mli, gated on every checked-in spec: two forked
+   workers produce the same CSV bytes as the in-process sequential
+   runner. The array baseline is profiled, so this also holds a
+   profiled jobs=1 run to an unprofiled jobs=2 one. *)
+let test_parallel_bit_identical () =
   List.iter
     (fun spec ->
-      let dom = Sweep.run ~jobs:4 ~mode:`Domains spec in
       check Alcotest.string
-        (spec.Spec.name ^ ": same bytes (jobs=1 vs domains jobs=4)")
+        (spec.Spec.name ^ ": same bytes (jobs=1 vs jobs=2)")
         (spec_csv spec (baseline spec))
-        (spec_csv spec dom))
+        (spec_csv spec (Sweep.run ~jobs:2 spec)))
     Spec.all_goldens
 
-(* The metrics path under domains: the OpenMetrics exposition of the
-   tiny fixed run, rendered on a pool worker domain, must match the
-   golden that test_obs regenerates from a main-domain run — any
-   domain-local state leaking into the registry or the runner's
-   counters would show up as a byte diff. *)
-let test_domains_metrics_identical () =
-  let render () =
-    let reg = Registry.create () in
-    let _ =
-      Runner.run (Config.default Config.Adios)
-        (Adios_apps.Array_bench.app ~pages:2048 ())
-        ~offered_krps:300. ~requests:500 ~metrics:reg ()
-    in
-    Openmetrics.render reg
-  in
-  let on_worker = ref "" in
-  Pool.with_pool ~domains:2 (fun pool ->
-      Pool.run_all pool [| (fun () -> on_worker := render ()) |]);
-  let golden =
-    In_channel.with_open_bin "golden/tiny-metrics.prom" In_channel.input_all
-  in
-  check Alcotest.string "worker-domain exposition matches the golden"
-    golden !on_worker
+(* A small sweep whose second point is sabotaged by [cfg_tweak], which
+   runs inside the worker: the point is recognised by its seed. *)
+let failure_spec =
+  Spec.make ~name:"failure" ~systems:[ Config.Adios ] ~apps:[ "array" ]
+    ~loads:[ 200.; 400.; 600.; 800. ] ~requests:200 ()
+
+let sabotaged = List.nth (Spec.points failure_spec) 1
+
+let sabotage f (c : Config.t) =
+  if c.Config.seed = sabotaged.Spec.point_seed then f ();
+  c
+
+let contains_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
+  go 0
+
+(* The run must raise [Failure] naming the sabotaged point and carrying
+   [reason], after every worker has been killed and reaped. *)
+let check_worker_failure ~reason f =
+  (match Sweep.run ~jobs:2 ~cfg_tweak:(sabotage f) failure_spec with
+  | _ -> Alcotest.fail "a failing point must fail the sweep"
+  | exception Failure msg ->
+    check Alcotest.bool
+      (Printf.sprintf "%S names the point" msg)
+      true
+      (contains_sub msg (Sweep.point_label sabotaged));
+    check Alcotest.bool
+      (Printf.sprintf "%S carries %S" msg reason)
+      true (contains_sub msg reason));
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | pid, _ -> Alcotest.failf "worker %d left behind" pid
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+
+let test_point_raises () =
+  check_worker_failure ~reason:"planted failure" (fun () ->
+      failwith "planted failure")
+
+let test_worker_killed () =
+  check_worker_failure ~reason:"worker exited before reporting" (fun () ->
+      Unix.kill (Unix.getpid ()) Sys.sigkill)
+
+let test_jobs_rejected () =
+  List.iter
+    (fun jobs ->
+      Alcotest.check_raises
+        (Printf.sprintf "jobs = %d" jobs)
+        (Invalid_argument "Sweep.run: jobs < 1")
+        (fun () -> ignore (Sweep.run ~jobs failure_spec)))
+    [ 0; -3 ]
 
 (* --- spec --------------------------------------------------------------- *)
 
@@ -458,8 +466,6 @@ let () =
     [
       ( "golden",
         [
-          Alcotest.test_case "replay bit-identical" `Quick
-            test_replay_bit_identical;
           Alcotest.test_case "matches checked-in golden" `Quick
             test_golden_match;
           Alcotest.test_case "knees detected" `Quick test_knees_detected;
@@ -475,8 +481,6 @@ let () =
         ] );
       ( "cluster golden",
         [
-          Alcotest.test_case "replay bit-identical" `Quick
-            test_cluster_replay_bit_identical;
           Alcotest.test_case "matches checked-in golden" `Quick
             test_cluster_golden_match;
           Alcotest.test_case "failover split holds" `Quick
@@ -488,12 +492,15 @@ let () =
             test_steal_golden_match;
           Alcotest.test_case "dispatch split holds" `Quick test_steal_oracles;
         ] );
-      ( "domains backend",
+      ( "parallel",
         [
-          Alcotest.test_case "every spec bit-identical" `Quick
-            test_domains_bit_identical;
-          Alcotest.test_case "metrics bit-identical" `Quick
-            test_domains_metrics_identical;
+          Alcotest.test_case "every golden spec bit-identical" `Quick
+            test_parallel_bit_identical;
+          Alcotest.test_case "point failure names the point" `Quick
+            test_point_raises;
+          Alcotest.test_case "killed worker is reported" `Quick
+            test_worker_killed;
+          Alcotest.test_case "jobs < 1 rejected" `Quick test_jobs_rejected;
         ] );
       ( "spec",
         [
