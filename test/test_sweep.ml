@@ -18,16 +18,26 @@ module Config = Adios_core.Config
 let check = Alcotest.check
 let no_violations name vs = check Alcotest.(list string) name [] vs
 
-(* One sequential run shared by every golden test below; the parallel
-   test replays it through the forked workers. The shared run is
+(* One sequential run shared by every golden test below; a second run
+   through the forked workers checks replay identity. The shared run is
    profiled: attribution is perturbation-free, so the main dataset must
    still match the unprofiled forked replay and the golden bytes — the
-   replay doubles as the sweep-scale proof of that claim. *)
+   replay test doubles as the sweep-scale proof of that claim. *)
 let sequential = lazy (Sweep.run ~jobs:1 ~profile:true Spec.reduced_array)
 let dataset = lazy (Dataset.of_run (Lazy.force sequential))
 let phase_dataset = lazy (Dataset.phases_of_run (Lazy.force sequential))
 
+(* The forked replay, shared with the all-goldens parallel test so the
+   spec runs at jobs=2 once per process. *)
+let forked = lazy (Sweep.run ~jobs:2 Spec.reduced_array)
+
 (* --- the golden sweep --------------------------------------------------- *)
+
+let test_replay_bit_identical () =
+  check Alcotest.string
+    "same seed, same bytes (jobs=1 profiled vs jobs=2 unprofiled)"
+    (Dataset.to_csv (Lazy.force dataset))
+    (Dataset.to_csv (Dataset.of_run (Lazy.force forked)))
 
 let test_golden_match () =
   match Dataset.load ~path:"golden/array-reduced.csv" with
@@ -100,11 +110,19 @@ let test_csv_round_trip () =
 (* --- the cluster golden -------------------------------------------------- *)
 
 (* The topology-grid sweep: one sequential run shared by the golden,
-   oracle-bundle and parallel tests. *)
+   replay, oracle-bundle and parallel tests, and one forked replay
+   shared by the replay and parallel tests. *)
 let cluster_sequential = lazy (Sweep.run ~jobs:1 Spec.cluster_reduced)
+let cluster_forked = lazy (Sweep.run ~jobs:2 Spec.cluster_reduced)
 
 let cluster_dataset =
   lazy (Dataset.of_run ~cluster:true (Lazy.force cluster_sequential))
+
+let test_cluster_replay_bit_identical () =
+  check Alcotest.string
+    "same seed, same bytes across crash schedules (jobs=1 vs jobs=2)"
+    (Dataset.to_csv (Lazy.force cluster_dataset))
+    (Dataset.to_csv (Dataset.of_run ~cluster:true (Lazy.force cluster_forked)))
 
 let test_cluster_golden_match () =
   match Dataset.load ~path:"golden/cluster-reduced.csv" with
@@ -181,6 +199,12 @@ let baseline spec =
   else if spec == Spec.steal_reduced then Lazy.force steal_sequential
   else Sweep.run ~jobs:1 spec
 
+(* Forked runs, reusing the replay tests' runs likewise. *)
+let parallel spec =
+  if spec == Spec.reduced_array then Lazy.force forked
+  else if spec == Spec.cluster_reduced then Lazy.force cluster_forked
+  else Sweep.run ~jobs:2 spec
+
 let spec_csv spec run =
   Dataset.to_csv (Dataset.of_run ~cluster:(Spec.clustered spec) run)
 
@@ -194,7 +218,7 @@ let test_parallel_bit_identical () =
       check Alcotest.string
         (spec.Spec.name ^ ": same bytes (jobs=1 vs jobs=2)")
         (spec_csv spec (baseline spec))
-        (spec_csv spec (Sweep.run ~jobs:2 spec)))
+        (spec_csv spec (parallel spec)))
     Spec.all_goldens
 
 (* A small sweep whose second point is sabotaged by [cfg_tweak], which
@@ -466,6 +490,8 @@ let () =
     [
       ( "golden",
         [
+          Alcotest.test_case "replay bit-identical" `Quick
+            test_replay_bit_identical;
           Alcotest.test_case "matches checked-in golden" `Quick
             test_golden_match;
           Alcotest.test_case "knees detected" `Quick test_knees_detected;
@@ -481,6 +507,8 @@ let () =
         ] );
       ( "cluster golden",
         [
+          Alcotest.test_case "replay bit-identical" `Quick
+            test_cluster_replay_bit_identical;
           Alcotest.test_case "matches checked-in golden" `Quick
             test_cluster_golden_match;
           Alcotest.test_case "failover split holds" `Quick
