@@ -59,8 +59,9 @@ let all_systems = [ Config.Hermit; Config.Dilos; Config.Dilos_p; Config.Adios ]
    points fan out over ADIOS_BENCH_JOBS worker processes. The harness
    seed is pinned onto every point (historical bench behaviour: one
    seed per run, not per point), so results at any job count match a
-   sequential run bit-for-bit. *)
-let sweep ?(cfg_tweak = fun c -> c) systems app loads ~requests =
+   sequential run bit-for-bit. [profile] attaches the critical-path
+   profiler, which moves no measurement. *)
+let sweep ?(cfg_tweak = fun c -> c) ?profile systems app loads ~requests =
   let spec =
     Adios_exp.Spec.
       {
@@ -80,7 +81,7 @@ let sweep ?(cfg_tweak = fun c -> c) systems app loads ~requests =
   in
   let cfg_tweak c = cfg_tweak { c with Config.seed = bench_seed } in
   let results =
-    Adios_exp.Sweep.run ~jobs ~cfg_tweak
+    Adios_exp.Sweep.run ~jobs ~cfg_tweak ?profile
       ~progress:(fun _ r -> Report.result_line r)
       spec
   in
@@ -174,7 +175,9 @@ let micro_sweep =
   lazy
     (pf "\n[running microbenchmark sweep: 4 systems x %d load points]\n"
        (List.length micro_loads);
-     sweep all_systems (micro_app ()) micro_loads ~requests:(reqs 60_000))
+     (* profiled: figs. 2(c)/7(c) print the profiler's percentile windows *)
+     sweep ~profile:true all_systems (micro_app ()) micro_loads
+       ~requests:(reqs 60_000))
 
 let get_series name =
   match List.assoc_opt name (Lazy.force micro_sweep) with

@@ -3,7 +3,7 @@
 
      adios_sim --system adios --app array --load 1300 --requests 60000
      adios_sim --system dilos --app rocksdb --load 500 --cdf
-     adios_sim --system adios --app silo --load 300 --breakdown *)
+     adios_sim --system dilos --app array --load 1300 --breakdown *)
 
 module Config = Adios_core.Config
 module Runner = Adios_core.Runner
@@ -110,7 +110,7 @@ let run system app load requests local_ratio dispatch prefetch no_delegation
   let snapshot =
     match metrics_csv_file with None -> None | Some _ -> Some (Timeline.create ())
   in
-  let profile = profile || profile_out <> None in
+  let profile = profile || show_breakdown || profile_out <> None in
   let r =
     Runner.run cfg app ~offered_krps:load ~requests ~trace ?timeline ?metrics
       ?snapshot
@@ -122,7 +122,6 @@ let run system app load requests local_ratio dispatch prefetch no_delegation
   List.iter
     (fun (k, s) -> Format.printf "%-6s %a@." k Summary.pp s)
     r.Runner.kind_summaries;
-  if show_breakdown then Report.breakdown ~title:"latency breakdown (cycles)" r;
   if show_cdf then Report.cdf ~title:"latency CDF" r;
   let write path f =
     try f () with
@@ -135,6 +134,7 @@ let run system app load requests local_ratio dispatch prefetch no_delegation
   | Some s ->
     Report.phase_breakdown ~title:"critical-path phases"
       [ (r.Runner.system, r) ];
+    Report.breakdown ~title:"latency breakdown by percentile window" r;
     Report.phase_bands ~title:"tail forensics (mean cycles/request per band)" r;
     Report.slowest_requests ~title:"slowest requests" r;
     (match profile_out with
@@ -217,6 +217,37 @@ let run system app load requests local_ratio dispatch prefetch no_delegation
 
 open Cmdliner
 
+(* Range-checked converters: an out-of-range value is a usage error
+   (exit 124), never a silently nonsensical run or an uncaught
+   exception deep in the simulator. *)
+let ranged ~kind of_string ~ok ~range print =
+  let parse s =
+    match of_string s with
+    | Some v when ok v -> Ok v
+    | Some _ -> Error (`Msg ("must be " ^ range))
+    | None -> Error (`Msg (Printf.sprintf "not %s: %s" kind s))
+  in
+  Arg.conv (parse, print)
+
+let int_conv = ranged ~kind:"an integer" int_of_string_opt Format.pp_print_int
+let float_conv = ranged ~kind:"a number" float_of_string_opt Format.pp_print_float
+let positive_int = int_conv ~ok:(fun n -> n > 0) ~range:"positive"
+let non_negative_int = int_conv ~ok:(fun n -> n >= 0) ~range:"non-negative"
+
+let positive_float =
+  float_conv ~ok:(fun x -> Float.is_finite x && x > 0.) ~range:"positive"
+
+let non_negative_float =
+  float_conv ~ok:(fun x -> Float.is_finite x && x >= 0.) ~range:"non-negative"
+
+let probability = float_conv ~ok:(fun p -> p >= 0. && p <= 1.) ~range:"in [0, 1]"
+
+(* a simulated duration must last at least one cycle *)
+let duration_us =
+  float_conv
+    ~ok:(fun x -> Float.is_finite x && Clock.of_us x > 0)
+    ~range:(Printf.sprintf "at least one cycle (%gus)" (Clock.to_us 1))
+
 let system_arg =
   Arg.(
     value
@@ -235,17 +266,17 @@ let app_arg =
 
 let load_arg =
   Arg.(
-    value & opt float 1000.
+    value & opt positive_float 1000.
     & info [ "load"; "l" ] ~docv:"KRPS" ~doc:"Offered load in KRPS.")
 
 let requests_arg =
   Arg.(
-    value & opt int 40_000
+    value & opt positive_int 40_000
     & info [ "requests"; "n" ] ~docv:"N" ~doc:"Requests to inject.")
 
 let ratio_arg =
   Arg.(
-    value & opt float 0.2
+    value & opt probability 0.2
     & info [ "local-ratio" ] ~docv:"F"
         ~doc:"Local DRAM as a fraction of the working set (default 0.2).")
 
@@ -260,7 +291,7 @@ let dispatch_arg =
 
 let prefetch_arg =
   Arg.(
-    value & opt int 0
+    value & opt non_negative_int 0
     & info [ "prefetch" ] ~docv:"DEGREE"
         ~doc:"Stride-prefetch up to DEGREE pages per detected stride (0 = off).")
 
@@ -279,7 +310,11 @@ let cdf_arg =
 let breakdown_arg =
   Arg.(
     value & flag
-    & info [ "breakdown" ] ~doc:"Print the per-stage latency breakdown.")
+    & info [ "breakdown" ]
+        ~doc:
+          "Alias of --profile. Its output includes the latency breakdown \
+           of Figs. 2(c)/7(c): mean phase cycles of the requests around \
+           P10/P50/P99/P99.9 of end-to-end latency.")
 
 let trace_arg =
   Arg.(
@@ -326,20 +361,11 @@ let metrics_csv_arg =
 
 let metrics_interval_arg =
   Arg.(
-    value & opt float 5.
+    value & opt duration_us 5.
     & info [ "metrics-interval-us" ] ~docv:"US"
         ~doc:
           "Sampling period in microseconds for --metrics-csv and \
            --timeseries (default 5).")
-
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | Some _ -> Error (`Msg "must be positive")
-    | None -> Error (`Msg ("not an integer: " ^ s))
-  in
-  Cmdliner.Arg.conv (parse, Format.pp_print_int)
 
 let trace_cap_arg =
   Arg.(
@@ -349,15 +375,6 @@ let trace_cap_arg =
           "Trace ring-buffer capacity in events; when full the oldest \
            events are overwritten (the trace is truncated, not the run \
            aborted).")
-
-let probability =
-  let parse s =
-    match float_of_string_opt s with
-    | Some p when p >= 0. && p <= 1. -> Ok p
-    | Some _ -> Error (`Msg "must be in [0, 1]")
-    | None -> Error (`Msg ("not a number: " ^ s))
-  in
-  Cmdliner.Arg.conv (parse, Format.pp_print_float)
 
 let fault_drop_arg =
   Arg.(
@@ -385,7 +402,7 @@ let fault_stall_arg =
 
 let fault_throttle_arg =
   Arg.(
-    value & opt float 0.
+    value & opt non_negative_float 0.
     & info [ "fault-throttle" ] ~docv:"F"
         ~doc:
           "Slow the memory node: stretch every fetch-direction \
@@ -402,7 +419,7 @@ let fault_seed_arg =
 
 let fetch_timeout_arg =
   Arg.(
-    value & opt float 50.
+    value & opt duration_us 50.
     & info [ "fetch-timeout-us" ] ~docv:"US"
         ~doc:
           "Declare a page fetch lost after US microseconds without a \
@@ -411,7 +428,7 @@ let fetch_timeout_arg =
 
 let fetch_retries_arg =
   Arg.(
-    value & opt int 3
+    value & opt non_negative_int 3
     & info [ "fetch-retries" ] ~docv:"N"
         ~doc:
           "Reposts allowed per fetch before the request gives up and \
@@ -423,8 +440,9 @@ let profile_flag_arg =
     & info [ "profile" ]
         ~doc:
           "Attach the streaming critical-path profiler and print the \
-           per-phase breakdown, the per-latency-band tail forensics and \
-           the slowest-requests digest. Profiling is perturbation-free: \
+           per-phase breakdown, the P10/P50/P99/P99.9 latency breakdown, \
+           the per-latency-band tail forensics and the slowest-requests \
+           digest. Profiling is perturbation-free: \
            every measurement is byte-identical with or without it. The \
            run exits non-zero if any request's phase cycles fail to sum \
            to its end-to-end latency.")

@@ -101,15 +101,6 @@ let meta_rules = [ "suppress-reason"; "stale-suppression"; "parse-error" ]
 
 let rule_names = syntactic_rules @ project_rules @ typed_rules @ meta_rules
 
-(* lib/engine/heap_reference.ml is the frozen boxed-record oracle the
-   flat-array heap is differentially tested against (test_engine_diff):
-   the proof of behavioural equality is only as good as the reference
-   staying byte-identical to the version it ran against, so no hygiene
-   rule may ever force an edit to it — and its per-entry allocations
-   are its whole point, so it must never join the zero-alloc manifest
-   either ([Hotpath] documents the same rule from its side). *)
-let hygiene_exempt = [ "lib/engine/heap_reference.ml" ]
-
 let to_string f = Printf.sprintf "%s:%d: [%s] %s" f.file f.line f.rule f.msg
 
 let compare_findings a b =
@@ -375,12 +366,10 @@ let lint_structure ~path ~event_kinds str =
   in
   let det_scope = not (List.mem path determinism_exempt) in
   let apps_scope = String.starts_with ~prefix:"lib/apps/" path in
-  let hygiene_scope = not (List.mem path hygiene_exempt) in
   let poly_scope =
-    hygiene_scope
-    && List.exists
-         (fun p -> String.starts_with ~prefix:p path)
-         [ "lib/core/"; "lib/rdma/"; "lib/mem/" ]
+    List.exists
+      (fun p -> String.starts_with ~prefix:p path)
+      [ "lib/core/"; "lib/rdma/"; "lib/mem/" ]
   in
   let is_float_const e =
     match e.pexp_desc with
@@ -425,7 +414,7 @@ let lint_structure ~path ~event_kinds str =
     | Pexp_apply
         ( { pexp_desc = Pexp_ident { txt = Longident.Lident (("=" | "<>") as op); _ }; _ },
           [ (_, a); (_, b) ] ) ->
-      if hygiene_scope && (is_float_const a || is_float_const b) then
+      if is_float_const a || is_float_const b then
         add e.pexp_loc "float-equal"
           (Printf.sprintf
              "(%s) against a float literal is an exact-bit comparison; test \
@@ -469,7 +458,7 @@ let lint_structure ~path ~event_kinds str =
                 pvb_expr = e2;
                 _ } ],
             _ )
-        when hygiene_scope && String.equal x y && not (expr_mentions x e2) ->
+        when String.equal x y && not (expr_mentions x e2) ->
         add pvb_loc "unused-shadow"
           (Printf.sprintf
              "binding of %s is dead: immediately shadowed by a rebinding \
@@ -649,11 +638,7 @@ let lint_typed_source ?(manifest = Hotpath.manifest) ~path ~source () =
           Typed_rules.zero_alloc ~entry ~str ~resolve_unit:(fun _ -> None)
         | None -> []
       in
-      let cu =
-        if List.mem path hygiene_exempt then []
-        else Typed_rules.cycle_units ~path ~str
-      in
-      za @ cu
+      za @ Typed_rules.cycle_units ~path ~str
   in
   apply_suppressions sups
     (raw
@@ -981,9 +966,7 @@ let typed_pass ~build_dir sources =
   let cycle_units =
     List.concat_map
       (fun (path, str) ->
-        if
-          List.mem path cycle_units_exempt || List.mem path hygiene_exempt
-        then []
+        if List.mem path cycle_units_exempt then []
         else Typed_rules.cycle_units ~path ~str)
       loaded
   in

@@ -1,5 +1,4 @@
 module Summary = Adios_stats.Summary
-module Breakdown = Adios_stats.Breakdown
 module Clock = Adios_engine.Clock
 module Accountant = Adios_obs.Accountant
 module Phase = Adios_prof.Phase
@@ -102,21 +101,6 @@ let cdf ~title (r : Runner.result) =
   List.iter
     (fun (v, frac) -> pf "%-14.2f %.5f\n" (us v) frac)
     (Adios_stats.Histogram.cdf r.Runner.e2e_hist ~points:40 ())
-
-let breakdown ~title (r : Runner.result) =
-  pf "\n-- %s --\n" title;
-  pf "%-8s %10s %10s %10s %10s %10s %10s %10s\n" "pctile" "queue"
-    "(busywait)" "compute" "pf_sw" "rdma" "ready_wait" "tx";
-  List.iter
-    (fun p ->
-      match Breakdown.at_percentile r.Runner.breakdown p with
-      | None -> ()
-      | Some c ->
-        pf "P%-7g %10d %10d %10d %10d %10d %10d %10d  (total %d cycles)\n" p
-          c.Breakdown.queue c.Breakdown.queue_busywait c.Breakdown.compute
-          c.Breakdown.pf_sw c.Breakdown.rdma c.Breakdown.ready_wait
-          c.Breakdown.tx (Breakdown.total c))
-    [ 10.; 50.; 99.; 99.9 ]
 
 let peak_throughput systems =
   List.map
@@ -238,29 +222,44 @@ let phase_breakdown ~title systems =
       pf "\n")
     Phase.all
 
-(* Tail forensics: the same decomposition conditioned on latency band,
-   one row per band — "what do the p99.9 stragglers wait on that the
-   median does not" read directly off one run. *)
-let phase_bands ~title (r : Runner.result) =
+(* One row per request population — a latency band or a percentile
+   window: mean cycles per request in each phase (they sum exactly to
+   the total), with the busy-wait share of the queue wait (Fig. 2(c)'s
+   slashed area) beside the queue column. *)
+let population_table ~title ~what (r : Runner.result) pick =
   match r.Runner.prof with
   | None -> ()
   | Some s ->
     pf "\n-- %s --\n" title;
-    pf "%-10s %9s" "band" "requests";
-    List.iter (fun p -> pf "%14s" (Phase.name p)) Phase.all;
-    pf "    (mean cycles/request in band)\n";
+    pf "%-10s %9s" what "requests";
+    List.iter
+      (fun p ->
+        pf "%14s" (phase_label p);
+        if p = Phase.Queue then pf "%14s" "(busy-wait)")
+      Phase.all;
+    pf "%14s    (mean cycles/request)\n" "total";
     Array.iter
       (fun (b : Profiler.band_stats) ->
+        let n = float_of_int (max 1 b.Profiler.requests) in
+        let mean c = float_of_int c /. n in
         pf "%-10s %9d" b.Profiler.band b.Profiler.requests;
-        let n = max 1 b.Profiler.requests in
         List.iter
           (fun p ->
-            pf "%14.0f"
-              (float_of_int b.Profiler.phase_cycles.(Phase.index p)
-              /. float_of_int n))
+            pf "%14.0f" (mean b.Profiler.phase_cycles.(Phase.index p));
+            if p = Phase.Queue then pf "%14.0f" (mean b.Profiler.slashed_queue))
           Phase.all;
-        pf "\n")
-      s.Profiler.bands
+        pf "%14.0f\n" (mean b.Profiler.e2e_cycles))
+      (pick s)
+
+(* Figs. 2(c)/7(c): where a request's time goes near P10/P50/P99/P99.9
+   of end-to-end latency. *)
+let breakdown ~title r =
+  population_table ~title ~what:"pctile" r (fun s -> s.Profiler.windows)
+
+(* Tail forensics: "what do the p99.9 stragglers wait on that the median
+   does not", read directly off one run. *)
+let phase_bands ~title r =
+  population_table ~title ~what:"band" r (fun s -> s.Profiler.bands)
 
 (* Top-K digest: the slowest measured requests with their three biggest
    phases, each with its share of that request's end-to-end latency. *)

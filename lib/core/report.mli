@@ -27,9 +27,6 @@ val util_vs_load : title:string -> (string * Runner.result list) list -> unit
 val cdf : title:string -> Runner.result -> unit
 (** Latency CDF of one run (Fig. 2(b)). *)
 
-val breakdown : title:string -> Runner.result -> unit
-(** Component decomposition at P10/P50/P99/P99.9 (Figs. 2(c)/7(c)). *)
-
 val peak_throughput : (string * Runner.result list) list -> (string * float) list
 (** Highest achieved KRPS per system across a sweep. *)
 
@@ -48,6 +45,12 @@ val cpu_efficiency : title:string -> (string * Runner.result) list -> unit
 val phase_label : Adios_prof.Phase.t -> string
 (** Human-readable label of an attribution phase (explicit
     per-constructor match, checked by the phase-wiring lint). *)
+
+val breakdown : title:string -> Runner.result -> unit
+(** Figs. 2(c)/7(c): mean per-request phase cycles in the profiler's
+    P10/P50/P99/P99.9 windows (requests ranked by end-to-end latency),
+    with the busy-wait share of the queue wait beside the queue column.
+    No output when the run did not profile. *)
 
 val phase_breakdown : title:string -> (string * Runner.result) list -> unit
 (** Request-side twin of {!cpu_efficiency}: one row per critical-path

@@ -1,5 +1,5 @@
-(** A networked request flowing through the system, with the timestamp
-    chain and latency decomposition attached. *)
+(** A networked request flowing through the system, with its timestamp
+    chain and (when profiling) its phase attribution attached. *)
 
 type spec = {
   kind : int;  (** application opcode class (e.g. 0 = GET, 1 = SCAN) *)
@@ -13,13 +13,11 @@ type t = {
   spec : spec;
   tx_at : int;  (** load-generator hardware TX timestamp *)
   mutable rx_at : int;  (** compute-node RX timestamp *)
-  mutable dispatched_at : int;  (** left the central queue *)
   mutable done_at : int;  (** reply delivered back to the load generator *)
   mutable buffer : int;  (** unithread buffer id, -1 before admission *)
   mutable errored : bool;
       (** the handler was aborted (fetch retries exhausted); the reply
           carries an error status instead of a result *)
-  comps : Adios_stats.Breakdown.components;
   mutable prof : Adios_prof.Profiler.req option;
       (** critical-path attribution state, attached at admission when
           the run profiles ([None] otherwise, costing one word) *)

@@ -6,8 +6,6 @@ module Raw_eth = Adios_rdma.Raw_eth
 module Link = Adios_rdma.Link
 module Histogram = Adios_stats.Histogram
 module Summary = Adios_stats.Summary
-module Breakdown = Adios_stats.Breakdown
-
 module Timeline = Adios_trace.Timeline
 module Trace_sink = Adios_trace.Sink
 module Profiler = Adios_prof.Profiler
@@ -26,7 +24,6 @@ type result = {
   e2e : Summary.t;
   kind_summaries : (string * Summary.t) list;
   e2e_hist : Histogram.t;
-  breakdown : Breakdown.t;
   rdma_util : float;
   faults : int;
   coalesced : int;
@@ -109,7 +106,6 @@ let run cfg app ~offered_krps ~requests ?warmup ?(max_seconds = 30.) ?trace
   let kind_hists =
     Array.init (Array.length app.App.kinds) (fun _ -> Histogram.create ())
   in
-  let breakdown = Breakdown.create () in
   let replies = ref 0 and recorded = ref 0 in
   let on_reply (req : Request.t) =
     incr replies;
@@ -129,8 +125,7 @@ let run cfg app ~offered_krps ~requests ?warmup ?(max_seconds = 30.) ?trace
       Histogram.record e2e_hist (Request.e2e_latency req);
       let kind = req.Request.spec.Request.kind in
       if kind >= 0 && kind < Array.length kind_hists then
-        Histogram.record kind_hists.(kind) (Request.e2e_latency req);
-      Breakdown.record breakdown req.Request.comps
+        Histogram.record kind_hists.(kind) (Request.e2e_latency req)
     end
   in
   let system = System.create ?trace ?prof sim cfg app ~on_reply in
@@ -246,7 +241,6 @@ let run cfg app ~offered_krps ~requests ?warmup ?(max_seconds = 30.) ?trace
     e2e = Summary.of_histogram e2e_hist;
     kind_summaries;
     e2e_hist;
-    breakdown;
     rdma_util;
     faults = counters.System.faults;
     coalesced = counters.System.coalesced;

@@ -16,7 +16,6 @@ type result = {
   kind_summaries : (string * Adios_stats.Summary.t) list;
       (** per-opcode-class summaries (e.g. GET vs SCAN) *)
   e2e_hist : Adios_stats.Histogram.t;  (** full distribution, for CDFs *)
-  breakdown : Adios_stats.Breakdown.t;  (** per-request decompositions *)
   rdma_util : float;
       (** fetch-direction wire-byte utilization in [0,1] (Figs. 2e/7e) *)
   faults : int;

@@ -12,7 +12,6 @@ module Arena = Adios_mem.Arena
 module View = Adios_mem.View
 module Task = Adios_unithread.Task
 module Buffer_pool = Adios_unithread.Buffer_pool
-module Integrator = Adios_stats.Integrator
 module Prefetcher = Adios_mem.Prefetcher
 module Trace_sink = Adios_trace.Sink
 module Trace_event = Adios_trace.Event
@@ -54,9 +53,6 @@ type entry = {
   mutable worker : worker option;  (** worker whose QP serves its faults *)
   mutable quantum_start : int;
   mutable preempted : bool;
-  mutable enqueued_at : int;
-  mutable bw_integral_at_enqueue : int;
-  mutable ready_at : int;
 }
 
 and worker = {
@@ -90,7 +86,6 @@ type t = {
   dispatch_gate : Proc.Gate.t;
   recycle : int Queue.t;
   buffers : Buffer_pool.t;
-  busy_waiters : Integrator.t;
   prefetched : Bytes.t; (* per-page flag: resident due to a prefetch *)
   prefetch_stats : Prefetcher.stats;
   mutable rr_cursor : int;
@@ -123,24 +118,38 @@ let worker_id e = match e.worker with Some w -> w.wid | None -> -1
 
 let accountant t = t.acct
 
-(* Time-in-state hooks. Like [ev] these never schedule events or touch
+(* Time-in-state hook for CPU work on no request's behalf (dispatcher,
+   idle and steal scans). Like [ev] it never schedules events or touches
    the RNG: a switch settles the per-state integrators at the current
    simulated time and nothing else, so the accounting cannot perturb the
    run. Each blocking site below switches *before* it waits; sites with
    no intervening wait need no switch (zero cycles would accrue). *)
 let acct_cpu t ~cpu st = if cpu >= 0 then Acct.switch t.acct ~cpu st
-let acct_entry t e st = acct_cpu t ~cpu:(worker_id e) st
 
-(* Per-request phase probes, same discipline as [acct_*]: a switch
-   closes the request's current phase segment at [Sim.now] and opens
-   the next — pure reads and array mutation, so the profiler cannot
-   perturb the run. Placed right next to the matching [acct_*] calls;
-   phases that telescope from the previous switch with no intervening
-   wait need no probe of their own. *)
-let pswitch t e ph =
+(* The one probe of a request-state change: the request enters phase
+   [ph] (closing its current segment at [Sim.now]) and, for an on-CPU
+   phase, its worker's CPU enters the matching accounting state. Same
+   discipline as [acct_cpu]: pure reads and array mutation, so neither
+   view can perturb the run. *)
+let enter t e ph =
+  (match Phase.cpu_state ph with
+  | Some st -> acct_cpu t ~cpu:(worker_id e) st
+  | None -> ());
   if t.prof_on then
     match e.req.Request.prof with
     | Some r -> Profiler.switch r ~now:(Sim.now t.sim) ph
+    | None -> ()
+
+(* Busy-wait cycles the worker CPUs have accrued so far: a queue wait's
+   slashed share (Fig. 2(c)) is its change across the wait over the
+   worker count. Read only while profiling. *)
+let busy_wait_now t =
+  Acct.cycles_now t.acct ~cpus:(Array.length t.workers) Acct.Busy_wait
+
+let note_enqueued t e =
+  if t.prof_on then
+    match e.req.Request.prof with
+    | Some r -> Profiler.enqueued r ~busy_wait:(busy_wait_now t)
     | None -> ()
 
 let pretry t e =
@@ -198,43 +207,34 @@ let attach_drain cq =
 (* --- page-fault handling ------------------------------------------------ *)
 
 (* Ensure a frame is available, stalling on memory pressure. *)
-let wait_frame t ~req ~worker ~page =
+let wait_frame t e ~page =
   (match t.reclaimer with Some r -> Reclaimer.trigger r | None -> ());
   if Pager.free_frames t.pager <= 0 then begin
     t.counters.frame_stalls <- t.counters.frame_stalls + 1;
-    ev t Trace_event.Stall_frame ~req ~worker ~page;
-    acct_cpu t ~cpu:worker Acct.Pf_software;
+    ev t Trace_event.Stall_frame ~req:e.req.Request.id ~worker:(worker_id e)
+      ~page;
+    enter t e Phase.Pf_software;
     Proc.suspend (fun resume -> Pager.wait_frame t.pager resume)
   end
 
 let charge_pf t e cycles =
-  e.req.Request.comps.pf_sw <- e.req.Request.comps.pf_sw + cycles;
-  acct_entry t e Acct.Pf_software;
-  pswitch t e Phase.Pf_software;
+  enter t e Phase.Pf_software;
   Proc.wait cycles
 
 (* Busy-wait until [page]'s in-flight fetch completes. *)
 let spin_on_inflight t e page =
-  let comps = e.req.Request.comps in
-  let start = Sim.now t.sim in
-  Integrator.add t.busy_waiters 1;
-  acct_entry t e Acct.Busy_wait;
-  pswitch t e Phase.Busy_wait;
+  enter t e Phase.Busy_wait;
   Proc.suspend (fun resume -> Pager.add_waiter t.pager page resume);
-  Integrator.add t.busy_waiters (-1);
-  acct_entry t e Acct.Pf_software;
-  pswitch t e Phase.Pf_software;
-  comps.rdma <- comps.rdma + (Sim.now t.sim - start)
+  enter t e Phase.Pf_software
 
 (* Make a blocked-then-resumed entry runnable again: push it on its
    worker's ready queue and wake that worker. Under the Steal system
    the ready queues are steal targets, so idle siblings are woken too —
    one of them may grab the entry before the (busy) owner gets to it. *)
 let enqueue_ready t (w : worker) e =
-  e.ready_at <- Sim.now t.sim;
   (* fetch wire time ends here; from the CQE until a worker (owner or
      thief) polls the entry back in, the request waits in a ready queue *)
-  pswitch t e Phase.Steal_wait;
+  enter t e Phase.Steal_wait;
   Queue.push e w.ready;
   Proc.Gate.signal w.gate;
   if t.cfg.Config.system = Config.Steal then
@@ -245,13 +245,10 @@ let enqueue_ready t (w : worker) e =
 (* Yield until [page]'s in-flight fetch completes; the completion pushes
    us on our worker's ready queue and the worker switches back. *)
 let yield_on_inflight t e page =
-  let comps = e.req.Request.comps in
-  let start = Sim.now t.sim in
   let w = match e.worker with Some w -> w | None -> assert false in
-  pswitch t e Phase.Fetch_wire;
+  enter t e Phase.Fetch_wire;
   Pager.add_waiter t.pager page (fun () -> enqueue_ready t w e);
-  Task.suspend ();
-  comps.rdma <- comps.rdma + (e.ready_at - start)
+  Task.suspend ()
 
 (* Issue stride prefetches next to a demand fetch: detect the request's
    fault stride and pull the predicted pages without anyone waiting on
@@ -346,11 +343,8 @@ let rec ensure_present t e page =
       t.prefetch_stats.Prefetcher.useful <-
         t.prefetch_stats.Prefetcher.useful + 1
     end;
-    if Params.hit_touch_cycles > 0 then begin
-      acct_entry t e Acct.Pf_software;
-      pswitch t e Phase.Pf_software;
-      Proc.wait Params.hit_touch_cycles
-    end
+    if Params.hit_touch_cycles > 0 then
+      charge_pf t e Params.hit_touch_cycles
   | Pager.Inflight ->
     t.counters.coalesced <- t.counters.coalesced + 1;
     let rid = e.req.Request.id and wid = worker_id e in
@@ -364,7 +358,6 @@ let rec ensure_present t e page =
 
 (* Handle a fault on a Remote page under the configured policy. *)
 and fault t e page =
-  let comps = e.req.Request.comps in
   t.counters.faults <- t.counters.faults + 1;
   let rid = e.req.Request.id and wid = worker_id e in
   ev t Trace_event.Fault_begin ~req:rid ~worker:wid ~page;
@@ -382,7 +375,7 @@ and fault t e page =
   let rec prepare () =
     if Pager.state t.pager page <> Pager.Remote then `Changed
     else if Pager.free_frames t.pager <= 0 then begin
-      wait_frame t ~req:rid ~worker:wid ~page;
+      wait_frame t e ~page;
       prepare ()
     end
     else begin
@@ -392,7 +385,7 @@ and fault t e page =
       if Nic.outstanding w.qps.(node) >= t.cfg.Config.qp_depth then begin
         t.counters.qp_stalls <- t.counters.qp_stalls + 1;
         ev t Trace_event.Stall_qp ~req:rid ~worker:wid ~page;
-        acct_cpu t ~cpu:wid Acct.Pf_software;
+        enter t e Phase.Pf_software;
         Proc.wait Params.qp_retry_cycles;
         prepare ()
       end
@@ -503,28 +496,20 @@ and fault t e page =
       end
     in
     if is_busywait t.cfg then begin
-      let start = Sim.now t.sim in
-      Integrator.add t.busy_waiters 1;
       (* the spin covers the post (incl. QP backoff) and the CQE wait *)
-      acct_cpu t ~cpu:wid Acct.Busy_wait;
-      pswitch t e Phase.Busy_wait;
+      enter t e Phase.Busy_wait;
       post_attempt ~blocking:true 0;
       if !outcome = `Pending then Proc.suspend (fun resume -> waker := resume);
-      Integrator.add t.busy_waiters (-1);
-      acct_cpu t ~cpu:wid Acct.Pf_software;
-      pswitch t e Phase.Pf_software;
-      comps.rdma <- comps.rdma + (Sim.now t.sim - start)
+      enter t e Phase.Pf_software
     end
     else begin
       (* Adios: issue and yield (Fig. 5 steps 4-5, 8-10). *)
-      let start = Sim.now t.sim in
       waker := (fun () -> enqueue_ready t w e);
       (* wire time opens before the post so a blocking QP backoff counts
          against the fetch; the CQE's [enqueue_ready] closes it *)
-      pswitch t e Phase.Fetch_wire;
+      enter t e Phase.Fetch_wire;
       post_attempt ~blocking:true 0;
-      if !outcome = `Pending then Task.suspend ();
-      comps.rdma <- comps.rdma + (e.ready_at - start)
+      if !outcome = `Pending then Task.suspend ()
     end;
     (match !outcome with
     | `Failed ->
@@ -550,11 +535,8 @@ let touch_range t e ~addr ~len ~write =
 (* --- application context ------------------------------------------------ *)
 
 let make_ctx t e =
-  let comps = e.req.Request.comps in
   let compute cycles =
-    comps.compute <- comps.compute + cycles;
-    acct_entry t e Acct.App_compute;
-    pswitch t e Phase.App_compute;
+    enter t e Phase.App_compute;
     Proc.wait cycles
   in
   let checkpoint () =
@@ -581,14 +563,11 @@ let make_ctx t e =
 (* --- reply transmission -------------------------------------------------- *)
 
 let send_reply t e =
-  let comps = e.req.Request.comps in
   let reply_bytes = e.req.Request.spec.Request.reply_bytes in
-  acct_entry t e Acct.Tx;
   (* Tx runs to the reply's client RX stamp: it covers the post, the
      wire, and (under Tx_sync_spin) is split below around the CQE spin *)
-  pswitch t e Phase.Tx;
+  enter t e Phase.Tx;
   Proc.wait Params.reply_post_cycles;
-  comps.compute <- comps.compute + Params.reply_post_cycles;
   let buffer = e.req.Request.buffer in
   let rid = e.req.Request.id and wid = worker_id e in
   ev t Trace_event.Tx_submit ~req:rid ~worker:wid;
@@ -605,10 +584,7 @@ let send_reply t e =
       e.req
   | Config.Tx_sync_spin ->
     (* naive design: the worker busy-waits for the CQE *)
-    let start = Sim.now t.sim in
-    Integrator.add t.busy_waiters 1;
-    acct_entry t e Acct.Busy_wait;
-    pswitch t e Phase.Busy_wait;
+    enter t e Phase.Busy_wait;
     Proc.suspend (fun resume ->
         Raw_eth.send t.reply_channel ~bytes:reply_bytes
           ~on_tx_complete:(fun () ->
@@ -616,10 +592,7 @@ let send_reply t e =
                 ev t Trace_event.Tx_complete ~req:rid ~worker:wid;
                 resume ()))
           e.req);
-    Integrator.add t.busy_waiters (-1);
-    acct_entry t e Acct.Tx;
-    pswitch t e Phase.Tx;
-    comps.tx <- comps.tx + (Sim.now t.sim - start);
+    enter t e Phase.Tx;
     Buffer_pool.free t.buffers buffer
   | Config.Tx_deferred ->
     (* run-to-completion baselines reap TX completions lazily, off the
@@ -634,9 +607,8 @@ let send_reply t e =
 (* --- worker -------------------------------------------------------------- *)
 
 let requeue t e =
-  e.enqueued_at <- Sim.now t.sim;
-  pswitch t e Phase.Queue;
-  e.bw_integral_at_enqueue <- Integrator.integral t.busy_waiters;
+  enter t e Phase.Queue;
+  note_enqueued t e;
   Queue.push e t.pending;
   Proc.Gate.signal t.dispatch_gate
 
@@ -658,35 +630,27 @@ let step_task t e task =
     (* else: fault yield; the fetch completion re-enqueues the entry *));
   ev t Trace_event.Run_end ~req:rid ~worker:wid
 
-let charge_compute e cycles =
-  e.req.Request.comps.compute <- e.req.Request.comps.compute + cycles;
-  Proc.wait cycles
-
 let run_entry t w e =
   e.worker <- Some w;
   match e.task with
   | Some task ->
     (* preempted unithread re-dispatched: switch back in *)
-    acct_cpu t ~cpu:w.wid Acct.Ctx_switch;
-    pswitch t e Phase.Ctx_switch;
-    charge_compute e Params.ctx_switch_cycles;
+    enter t e Phase.Ctx_switch;
+    Proc.wait Params.ctx_switch_cycles;
     e.quantum_start <- Sim.now t.sim;
     step_task t e task
   | None ->
-    acct_cpu t ~cpu:w.wid Acct.Ctx_switch;
-    pswitch t e Phase.Ctx_switch;
-    charge_compute e
-      (Params.unithread_create_cycles + Params.ctx_switch_cycles);
+    enter t e Phase.Ctx_switch;
+    Proc.wait (Params.unithread_create_cycles + Params.ctx_switch_cycles);
     (match t.cfg.Config.system with
     | Config.Hermit ->
-      acct_cpu t ~cpu:w.wid Acct.App_compute;
-      pswitch t e Phase.App_compute;
-      charge_compute e Params.hermit_request_extra_cycles;
+      enter t e Phase.App_compute;
+      Proc.wait Params.hermit_request_extra_cycles;
       if Rng.uniform t.rng < Params.hermit_jitter_probability then begin
         let span =
           Params.hermit_jitter_max_cycles - Params.hermit_jitter_min_cycles
         in
-        charge_compute e (Params.hermit_jitter_min_cycles + Rng.int t.rng span)
+        Proc.wait (Params.hermit_jitter_min_cycles + Rng.int t.rng span)
       end
     | Config.Dilos | Config.Dilos_p | Config.Adios | Config.Steal -> ());
     e.quantum_start <- Sim.now t.sim;
@@ -700,15 +664,11 @@ let run_entry t w e =
     e.task <- Some task;
     step_task t e task
 
-let resume_ready t (w : worker) e =
-  let comps = e.req.Request.comps in
+let resume_ready t e =
   (* poll + switch-in is one wait; attribute it wholly to CQ polling
      rather than splitting it (an extra event could shift tie-breaks) *)
-  acct_cpu t ~cpu:w.wid Acct.Cq_poll;
-  pswitch t e Phase.Cq_poll;
+  enter t e Phase.Cq_poll;
   Proc.wait (Params.poll_cycles + Params.ctx_switch_cycles);
-  comps.ready_wait <- comps.ready_wait + (Sim.now t.sim - e.ready_at);
-  comps.pf_sw <- comps.pf_sw + Params.ctx_switch_cycles;
   match e.task with
   | Some task -> step_task t e task
   | None -> assert false
@@ -716,16 +676,13 @@ let resume_ready t (w : worker) e =
 (* close the request's queueing interval: from admission (or requeue)
    to the moment a worker takes it *)
 let account_dequeue t (w : worker) e =
-  let comps = e.req.Request.comps in
-  let now = Sim.now t.sim in
-  e.req.Request.dispatched_at <- now;
   ev t Trace_event.Dispatch ~req:e.req.Request.id ~worker:w.wid;
-  comps.queue <- comps.queue + (now - e.enqueued_at);
-  let bw_share =
-    (Integrator.integral t.busy_waiters - e.bw_integral_at_enqueue)
-    / max 1 (Array.length t.workers)
-  in
-  comps.queue_busywait <- comps.queue_busywait + bw_share
+  if t.prof_on then
+    match e.req.Request.prof with
+    | Some r ->
+      Profiler.dequeued r ~busy_wait:(busy_wait_now t)
+        ~workers:(Array.length t.workers)
+    | None -> ()
 
 (* Work stealing: take the head of the longest sibling queue (FCFS
    order within the victim); the scan itself costs cycles. *)
@@ -783,7 +740,7 @@ let rec worker_loop t (w : worker) =
   if not (Queue.is_empty w.ready) then begin
     w.idle <- false;
     let e = Queue.pop w.ready in
-    resume_ready t w e;
+    resume_ready t e;
     worker_loop t w
   end
   else
@@ -819,7 +776,7 @@ let rec worker_loop t (w : worker) =
           match resumed with
           | Some e ->
             w.idle <- false;
-            resume_ready t w e;
+            resume_ready t e;
             worker_loop t w
           | None ->
             w.idle <- true;
@@ -941,11 +898,9 @@ let receive t ~rx_at req =
           worker = None;
           quantum_start = 0;
           preempted = false;
-          enqueued_at = Sim.now t.sim;
-          bw_integral_at_enqueue = Integrator.integral t.busy_waiters;
-          ready_at = 0;
         }
       in
+      note_enqueued t e;
       Queue.push e t.pending;
       Proc.Gate.signal t.dispatch_gate
 
@@ -1114,7 +1069,6 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~on_reply =
       recycle = Queue.create ();
       buffers = Buffer_pool.create ~count:cfg.Config.buffer_count
           Buffer_pool.unithread_layout;
-      busy_waiters = Integrator.create sim;
       prefetched = Bytes.make app.App.pages '\000';
       prefetch_stats = Prefetcher.make_stats ();
       rr_cursor = 0;

@@ -11,8 +11,8 @@
     plus a far-event heap (multi-rotation delays). The two heads are
     merged by [(time, seq)], which reproduces the exact pop order of the
     original single-heap scheduler — the differential suite in
-    [test_engine_diff] checks this against {!Heap_reference}. Steady-state
-    scheduling performs no GC allocation. *)
+    [test_engine_diff] checks this against [test/heap_reference.ml].
+    Steady-state scheduling performs no GC allocation. *)
 
 type t
 (** A simulation instance. *)

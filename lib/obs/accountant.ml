@@ -79,6 +79,14 @@ let switch t ~cpu state =
 
 let current t ~cpu = t.slots.(cpu).state
 
+let cycles_now t ~cpus state =
+  let si = state_index state in
+  let acc = ref 0 in
+  for cpu = 0 to min cpus (Array.length t.slots) - 1 do
+    acc := !acc + Integrator.integral t.slots.(cpu).integrators.(si)
+  done;
+  !acc
+
 type snapshot = {
   duration : int;
   cpus : int;

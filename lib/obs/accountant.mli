@@ -60,6 +60,10 @@ val switch : t -> cpu:int -> state -> unit
 
 val current : t -> cpu:int -> state
 
+val cycles_now : t -> cpus:int -> state -> int
+(** Live twin of {!state_cycles}: cycles spent in a state so far,
+    summed over the first [cpus] slots, without taking a snapshot. *)
+
 (** Plain-data view of the accountant: marshals across the forked sweep
     workers and survives the simulation it was taken from. *)
 type snapshot = {

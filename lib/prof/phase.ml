@@ -69,3 +69,16 @@ let name = function
   | Steal_wait -> "steal_wait"
   | Cq_poll -> "cq_poll"
   | Tx -> "tx"
+
+(* One request-state change moves both views: the request's phase and,
+   for on-CPU phases, the serving CPU's accounting state. *)
+let cpu_state = function
+  | Req_wire | Queue | Fetch_wire | Retry_backoff | Failover_wait
+  | Steal_wait ->
+    None
+  | Ctx_switch -> Some Adios_obs.Accountant.Ctx_switch
+  | App_compute -> Some Adios_obs.Accountant.App_compute
+  | Pf_software -> Some Adios_obs.Accountant.Pf_software
+  | Busy_wait -> Some Adios_obs.Accountant.Busy_wait
+  | Cq_poll -> Some Adios_obs.Accountant.Cq_poll
+  | Tx -> Some Adios_obs.Accountant.Tx

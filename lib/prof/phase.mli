@@ -31,3 +31,8 @@ val index : t -> int
 val name : t -> string
 (** snake_case identifier shared by CSV column suffixes, OpenMetrics
     [phase] label values and flamegraph frames. *)
+
+val cpu_state : t -> Adios_obs.Accountant.state option
+(** The accounting state of the CPU serving a request in this phase, or
+    [None] for the off-CPU phases (wire, queue, fetch, retry, failover
+    and ready waits), where no CPU works on the request. *)

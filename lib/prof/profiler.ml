@@ -1,7 +1,7 @@
 (* Streaming critical-path profiler: one tiny mutable record per
-   admitted request, advanced by phase-switch probes planted in
-   lib/core/system.ml at the same sites as the per-CPU accountant's
-   state switches. A switch closes the current segment at [Sim.now] and
+   admitted request, advanced by lib/core/system.ml's [enter] probe,
+   the same call that moves the per-CPU accountant's state. A switch
+   closes the current segment at [Sim.now] and
    opens the next, so the per-phase cycle array telescopes from the
    client TX timestamp to the reply RX timestamp: phase cycles sum
    EXACTLY to end-to-end latency, by construction, for every request —
@@ -15,7 +15,6 @@
    aggregation state is plain data — safe to Marshal across forked
    sweep workers. *)
 
-module Histogram = Adios_stats.Histogram
 module Registry = Adios_obs.Registry
 
 type req = {
@@ -29,11 +28,15 @@ type req = {
          the client while the worker is still spinning on the TX CQE,
          so probes after finalization must be no-ops — those cycles are
          outside the request's end-to-end window by definition *)
+  mutable queued_busy : int;
+      (* the worker CPUs' busy-wait cycles when it last entered a queue *)
+  mutable slashed : int;
+      (* busy-wait share of its queue waits: Fig. 2(c)'s slashed area *)
 }
 
-(* One finalized measured request, retained for band aggregation and
-   the top-K digest. *)
-type sample = { sid : int; e2e : int; scycles : int array }
+(* One finalized measured request, retained for band and window
+   aggregation and the top-K digest. *)
+type sample = { sid : int; e2e : int; scycles : int array; sslashed : int }
 
 type t = {
   mutable attached : int;
@@ -47,7 +50,7 @@ type t = {
   mutable len : int;
 }
 
-let none : sample = { sid = -1; e2e = 0; scycles = [||] }
+let none : sample = { sid = -1; e2e = 0; scycles = [||]; sslashed = 0 }
 
 let create () =
   {
@@ -70,6 +73,8 @@ let attach t ~id ~tx_at ~now =
       phase = Phase.Req_wire;
       entered_at = tx_at;
       closed = false;
+      queued_busy = 0;
+      slashed = 0;
     }
   in
   (* admission closes the wire+RX segment and opens the queue wait *)
@@ -105,6 +110,11 @@ let note_failover r ~now =
   if (not r.closed) && waiting_on_fetch r then
     switch r ~now Phase.Failover_wait
 
+let enqueued r ~busy_wait = r.queued_busy <- busy_wait
+
+let dequeued r ~busy_wait ~workers =
+  r.slashed <- r.slashed + ((busy_wait - r.queued_busy) / max 1 workers)
+
 let push t s =
   if t.len = Array.length t.samples then begin
     let grown = Array.make (2 * t.len) none in
@@ -129,25 +139,31 @@ let finalize t r ~done_at ~errored ~measured =
     if !sum <> done_at - r.tx_at then
       t.sum_violations <- t.sum_violations + 1;
     if measured && not errored then
-      push t { sid = r.id; e2e = done_at - r.tx_at; scycles = r.cycles }
+      push t
+        {
+          sid = r.id;
+          e2e = done_at - r.tx_at;
+          scycles = r.cycles;
+          sslashed = r.slashed;
+        }
   end
 
 let attached t = t.attached
 let finalized t = t.finalized
 let sum_violations t = t.sum_violations
 
-(* --- band aggregation --------------------------------------------------- *)
+(* --- aggregation --------------------------------------------------------- *)
 
 let band_count = 4
 let band_names = [| "p0_p50"; "p50_p99"; "p99_p999"; "p999_max" |]
+let window_percentiles = [| 10.; 50.; 99.; 99.9 |]
 
 type band_stats = {
   band : string;
   requests : int;
-  e2e_cycles : int;  (* total end-to-end cycles over the band *)
+  e2e_cycles : int;  (* total end-to-end cycles over the population *)
   phase_cycles : int array;  (* per-phase totals; sums to [e2e_cycles] *)
-  phase_hist : Histogram.t array;
-      (* per-request cycles in each phase, conditioned on the band *)
+  slashed_queue : int;  (* busy-wait share of the queue phase *)
 }
 
 type slow = { id : int; e2e : int; cycles : int array }
@@ -157,8 +173,8 @@ type summary = {
   measured : int;  (* post-warmup, non-errored: the banded population *)
   errored : int;
   violations : int;  (* requests whose phases failed to sum to e2e *)
-  thresholds : int array;  (* p50 / p99 / p99.9 e2e cycles, length 3 *)
   bands : band_stats array;  (* length [band_count], band_names order *)
+  windows : band_stats array;  (* one per [window_percentiles] entry *)
   slowest : slow array;  (* top-K by e2e, descending *)
 }
 
@@ -170,9 +186,36 @@ let rank_of ~n p =
 
 let summary ?(top_k = 32) t =
   let n = t.len in
-  let e2es = Array.init n (fun i -> t.samples.(i).e2e) in
-  Array.sort Int.compare e2es;
-  let thr p = if n = 0 then 0 else e2es.(rank_of ~n p - 1) in
+  (* measured samples by descending e2e (ties by id): ascending rank [r]
+     is [ranked (n - 1 - r)] *)
+  let order = Array.init n (fun i -> i) in
+  Array.sort
+    (fun a b ->
+      let c = Int.compare t.samples.(b).e2e t.samples.(a).e2e in
+      if c <> 0 then c else Int.compare t.samples.(a).sid t.samples.(b).sid)
+    order;
+  let ranked i = t.samples.(order.(i)) in
+  (* one population's totals over the ascending ranks [lo, hi] *)
+  let aggregate band ~lo ~hi =
+    let e2e = ref 0 and slashed = ref 0 in
+    let phase_cycles = Array.make Phase.count 0 in
+    for r = lo to hi do
+      let s = ranked (n - 1 - r) in
+      e2e := !e2e + s.e2e;
+      slashed := !slashed + s.sslashed;
+      for p = 0 to Phase.count - 1 do
+        phase_cycles.(p) <- phase_cycles.(p) + s.scycles.(p)
+      done
+    done;
+    {
+      band;
+      requests = max 0 (hi - lo + 1);
+      e2e_cycles = !e2e;
+      phase_cycles;
+      slashed_queue = !slashed;
+    }
+  in
+  let thr p = if n = 0 then 0 else (ranked (n - rank_of ~n p)).e2e in
   let p50 = thr 50. and p99 = thr 99. and p999 = thr 99.9 in
   let band_of e2e =
     if e2e <= p50 then 0
@@ -180,45 +223,32 @@ let summary ?(top_k = 32) t =
     else if e2e <= p999 then 2
     else 3
   in
-  let bands =
-    Array.init band_count (fun b ->
-        {
-          band = band_names.(b);
-          requests = 0;
-          e2e_cycles = 0;
-          phase_cycles = Array.make Phase.count 0;
-          phase_hist = Array.init Phase.count (fun _ -> Histogram.create ());
-        })
-  in
-  let requests = Array.make band_count 0 in
-  let e2e_tot = Array.make band_count 0 in
+  (* a band is a run of consecutive ranks: band_of is monotone in e2e *)
+  let sizes = Array.make band_count 0 in
   for i = 0 to n - 1 do
-    let s = t.samples.(i) in
-    let b = band_of s.e2e in
-    requests.(b) <- requests.(b) + 1;
-    e2e_tot.(b) <- e2e_tot.(b) + s.e2e;
-    let st = bands.(b) in
-    for p = 0 to Phase.count - 1 do
-      st.phase_cycles.(p) <- st.phase_cycles.(p) + s.scycles.(p);
-      Histogram.record st.phase_hist.(p) s.scycles.(p)
-    done
+    let b = band_of t.samples.(i).e2e in
+    sizes.(b) <- sizes.(b) + 1
   done;
   let bands =
-    Array.mapi
-      (fun b st ->
-        { st with requests = requests.(b); e2e_cycles = e2e_tot.(b) })
-      bands
+    Array.init band_count (fun b ->
+        let lo = ref 0 in
+        for b' = 0 to b - 1 do
+          lo := !lo + sizes.(b')
+        done;
+        aggregate band_names.(b) ~lo:!lo ~hi:(!lo + sizes.(b) - 1))
   in
-  let order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let c = Int.compare t.samples.(b).e2e t.samples.(a).e2e in
-      if c <> 0 then c else Int.compare t.samples.(a).sid t.samples.(b).sid)
-    order;
+  (* Each window spans +-0.25% of the ranks (at least one either side)
+     around its percentile, the averaging rule of Figs. 2(c)/7(c). *)
+  let window p =
+    let rank = int_of_float (p /. 100. *. float_of_int (n - 1)) in
+    let half = max 1 (n / 400) in
+    aggregate (Printf.sprintf "P%g" p) ~lo:(max 0 (rank - half))
+      ~hi:(min (n - 1) (rank + half))
+  in
   let k = if top_k < n then top_k else n in
   let slowest =
     Array.init k (fun i ->
-        let s = t.samples.(order.(i)) in
+        let s = ranked i in
         { id = s.sid; e2e = s.e2e; cycles = Array.copy s.scycles })
   in
   {
@@ -226,8 +256,8 @@ let summary ?(top_k = 32) t =
     measured = n;
     errored = t.errored;
     violations = t.sum_violations;
-    thresholds = [| p50; p99; p999 |];
     bands;
+    windows = Array.map window window_percentiles;
     slowest;
   }
 

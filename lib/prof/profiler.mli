@@ -42,6 +42,16 @@ val note_failover : req -> now:int -> unit
 (** The fetch was rerouted to a surviving replica: subsequent wait is
     [Failover_wait]. Same parked-on-fetch guard as {!note_retry}. *)
 
+val enqueued : req -> busy_wait:int -> unit
+(** The request entered (or re-entered) a queue while the worker CPUs
+    had accrued [busy_wait] busy-wait cycles in total. *)
+
+val dequeued : req -> busy_wait:int -> workers:int -> unit
+(** A worker took the request: the busy-wait cycles the worker CPUs
+    accrued since {!enqueued}, divided by [workers], add to the
+    request's slashed queue share — the part of its queue wait the
+    paper's Fig. 2(c) attributes to busy-waiting workers. *)
+
 val finalize :
   t -> req -> done_at:int -> errored:bool -> measured:bool -> unit
 (** Close the open segment at [done_at] (the reply's client RX stamp),
@@ -65,15 +75,23 @@ val band_names : string array
 (** ["p0_p50"; "p50_p99"; "p99_p999"; "p999_max"] — latency bands by
     end-to-end percentile of the measured population. *)
 
+val window_percentiles : float array
+(** [[|10.; 50.; 99.; 99.9|]]: the rows of Figs. 2(c)/7(c). A window
+    holds the measured requests within +-0.25% of the ranks (at least
+    one either side) around a percentile of end-to-end latency. *)
+
 type band_stats = {
   band : string;
+      (** the population: a band name, or ["P10"] ... ["P99.9"] for a
+          percentile window *)
   requests : int;
-  e2e_cycles : int;  (** total end-to-end cycles over the band *)
+  e2e_cycles : int;  (** total end-to-end cycles over the population *)
   phase_cycles : int array;
       (** per-phase totals, {!Phase.index} order; sums to [e2e_cycles]
           exactly (the conservation oracle re-checks this per band) *)
-  phase_hist : Adios_stats.Histogram.t array;
-      (** distribution of per-request cycles in each phase *)
+  slashed_queue : int;
+      (** busy-wait share of the queue waits (see {!dequeued}), at most
+          the [Queue] total: the slashed area of Fig. 2(c) *)
 }
 
 type slow = { id : int; e2e : int; cycles : int array }
@@ -83,8 +101,8 @@ type summary = {
   measured : int;  (** post-warmup non-errored: the banded population *)
   errored : int;
   violations : int;
-  thresholds : int array;  (** p50 / p99 / p99.9 e2e cycles *)
   bands : band_stats array;  (** length {!band_count} *)
+  windows : band_stats array;  (** one per {!window_percentiles} entry *)
   slowest : slow array;  (** top-K requests by e2e, descending *)
 }
 

@@ -1,8 +1,7 @@
 (** Time-weighted integral of a piecewise-constant quantity.
 
     Used for the RDMA link busy-time (utilization of Figs. 2(e)/7(e)) and
-    for the "how many workers are busy-waiting right now" signal that
-    attributes queueing delay to busy-waiting in Fig. 2(c). *)
+    for the accountant's per-CPU time in each state. *)
 
 type t
 

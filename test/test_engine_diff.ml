@@ -18,7 +18,6 @@
      (now, events_processed, clamped, pending) observables. *)
 
 module Heap = Adios_engine.Heap
-module Heap_reference = Adios_engine.Heap_reference
 module Sim = Adios_engine.Sim
 
 (* --- heap vs reference --------------------------------------------------- *)

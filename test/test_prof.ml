@@ -4,10 +4,11 @@
    measurements), attribution direction on clean runs (yield systems
    never busy-wait; spinning baselines never enter the fetch-wire
    phase), marshal identity through forked sweep workers, folded-stack
-   well-formedness, and the failure direction of the tail-forensics
-   oracles on synthetic fixtures — including the busy-wait-in-the-tail
-   fixture for a yield system that the acceptance criteria require to
-   FAIL. *)
+   well-formedness, the percentile windows behind Figs. 2(c)/7(c) and
+   their busy-wait cross-check against the CPU accountant, and the
+   failure direction of the tail-forensics oracles on synthetic
+   fixtures — including the busy-wait-in-the-tail fixture for a yield
+   system that the acceptance criteria require to FAIL. *)
 
 module Config = Adios_core.Config
 module Runner = Adios_core.Runner
@@ -21,6 +22,7 @@ module Spec = Adios_exp.Spec
 module Sweep = Adios_exp.Sweep
 module Dataset = Adios_exp.Dataset
 module Oracle = Adios_exp.Oracle
+module Registry = Adios_obs.Registry
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -70,9 +72,11 @@ let clustered cfg =
 
 let tweaks = [ ("clean", clean); ("faulty", faulty); ("cluster", clustered) ]
 
-let run_profiled ?(cfg_tweak = clean) ?(seed = 42) system ~load ~requests =
+let run_profiled ?(cfg_tweak = clean) ?(seed = 42) ?metrics system ~load
+    ~requests =
   let cfg = cfg_tweak { (Config.default system) with Config.seed } in
-  Runner.run cfg (small_array ()) ~offered_krps:load ~requests ~profile:true ()
+  Runner.run cfg (small_array ()) ~offered_krps:load ~requests ?metrics
+    ~profile:true ()
 
 let summary_exn name (r : Runner.result) =
   match r.Runner.prof with
@@ -81,7 +85,9 @@ let summary_exn name (r : Runner.result) =
 
 (* The invariant bundle every profiled run must satisfy: no per-request
    sum violations, every admitted request finalized, bands partitioning
-   the measured population, and per-band cycle conservation. *)
+   the measured population, and per-band and per-window cycle
+   conservation (a window's slashed queue share never exceeds its queue
+   phase). *)
 let assert_invariants name (r : Runner.result) =
   let s = summary_exn name r in
   check_int (name ^ ": phase-sum violations") 0 s.Profiler.violations;
@@ -98,7 +104,16 @@ let assert_invariants name (r : Runner.result) =
         (Printf.sprintf "%s: band %s cycles conserve" name b.Profiler.band)
         b.Profiler.e2e_cycles
         (Array.fold_left ( + ) 0 b.Profiler.phase_cycles))
-    s.Profiler.bands
+    s.Profiler.bands;
+  Array.iter
+    (fun w ->
+      let name = Printf.sprintf "%s: %s window" name w.Profiler.band in
+      check_int (name ^ " cycles conserve") w.Profiler.e2e_cycles
+        (Array.fold_left ( + ) 0 w.Profiler.phase_cycles);
+      check_bool (name ^ " slashed share within the queue wait") true
+        (w.Profiler.slashed_queue
+        <= w.Profiler.phase_cycles.(Phase.index Phase.Queue)))
+    s.Profiler.windows
 
 let test_invariant_matrix () =
   List.iter
@@ -186,6 +201,100 @@ let test_attribution_direction () =
           0 wire
       end)
     all_systems
+
+(* --- percentile windows (Figs. 2(c)/7(c)) ---------------------------------- *)
+
+(* The window rule on a synthetic population with e2e = 1..1000: each
+   window averages the requests within +-0.25% of the ranks around its
+   percentile. *)
+let test_window_rule () =
+  let p = Profiler.create () in
+  for i = 1 to 1000 do
+    let r = Profiler.attach p ~id:i ~tx_at:0 ~now:0 in
+    Profiler.finalize p r ~done_at:i ~errored:false ~measured:true
+  done;
+  let s = Profiler.summary p in
+  let mean name =
+    match
+      Array.find_opt (fun w -> String.equal w.Profiler.band name)
+        s.Profiler.windows
+    with
+    | Some w -> w.Profiler.e2e_cycles / max 1 w.Profiler.requests
+    | None -> Alcotest.fail ("no window " ^ name)
+  in
+  check_bool "p50 window near 500" true (abs (mean "P50" - 500) < 20);
+  check_bool "p99.9 window above 950" true (mean "P99.9" > 950)
+
+(* Sum of a counter family's series whose labels satisfy [keep]. *)
+let counter_sum reg name keep =
+  List.fold_left
+    (fun acc (m : Registry.metric) ->
+      match m.Registry.value with
+      | Registry.Counter read
+        when String.equal m.Registry.name name && keep m.Registry.labels ->
+        acc + read ()
+      | Registry.Counter _ | Registry.Gauge _ | Registry.Histogram _ -> acc)
+    0 (Registry.metrics reg)
+
+let has k v labels =
+  match List.assoc_opt k labels with
+  | Some x -> String.equal x v
+  | None -> false
+
+(* Busy-wait cycles as the two views export them: the request view
+   (profiler phases) and the CPU view (accountant, worker CPUs only). *)
+let busy_wait_views ?cfg_tweak system ~load =
+  let reg = Registry.create () in
+  let r = run_profiled ?cfg_tweak ~metrics:reg system ~load ~requests:6000 in
+  ( r,
+    counter_sum reg "adios_req_phase_cycles_total" (has "phase" "busy_wait"),
+    counter_sum reg "adios_cpu_state_cycles_total" (fun l ->
+        has "state" "busy_wait" l && not (has "cpu" "dispatcher" l)) )
+
+let dropping cfg =
+  {
+    cfg with
+    Config.fault =
+      { Injector.none with Injector.drop = 0.01; spike = 0.02; seed = 3 };
+    fetch_timeout = Clock.of_us 50.;
+    fetch_retries = 3;
+  }
+
+(* Cross-view oracle: every busy-wait cycle a worker CPU burns is spent
+   on exactly one request's critical path, so the two views agree to
+   the cycle for the spinning baselines, on a clean fabric and with
+   drops; the yield systems show none in either view. *)
+let test_busy_wait_cross_view () =
+  List.iter
+    (fun system ->
+      List.iter
+        (fun (tname, cfg_tweak) ->
+          let name = Printf.sprintf "%s/%s" (Config.system_name system) tname in
+          let _, req, cpu = busy_wait_views ~cfg_tweak system ~load:1000. in
+          check_bool (name ^ ": spins") true (cpu > 0);
+          check_int (name ^ ": request view = CPU view") cpu req)
+        [ ("clean", clean); ("drops", dropping); ("faulty", faulty) ])
+    [ Config.Dilos; Config.Dilos_p; Config.Hermit ];
+  List.iter
+    (fun system ->
+      let name = Config.system_name system in
+      let r, req, cpu = busy_wait_views system ~load:1000. in
+      check_int (name ^ ": no busy-wait, request view") 0 req;
+      check_int (name ^ ": no busy-wait, CPU view") 0 cpu;
+      Array.iter
+        (fun w ->
+          check_int (name ^ ": window has no slashed queue") 0
+            w.Profiler.slashed_queue)
+        (summary_exn name r).Profiler.windows)
+    [ Config.Adios; Config.Steal ];
+  (* a synchronous TX spin outlives the request: the profiler closes it
+     at reply RX while the worker still spins on the TX CQE *)
+  let _, req, cpu =
+    busy_wait_views Config.Adios ~load:1000. ~cfg_tweak:(fun c ->
+        { c with Config.tx_mode = Config.Tx_sync_spin })
+  in
+  check_bool "sync TX: request view spins" true (req > 0);
+  check_bool "sync TX: request view <= CPU view" true (req <= cpu)
 
 (* --- sweep integration --------------------------------------------------- *)
 
@@ -317,6 +426,12 @@ let () =
           Alcotest.test_case "system x fabric matrix" `Quick
             test_invariant_matrix;
           QCheck_alcotest.to_alcotest prop_phase_sum_invariant;
+        ] );
+      ( "breakdown",
+        [
+          Alcotest.test_case "at_percentile" `Quick test_window_rule;
+          Alcotest.test_case "busy-wait cross-view oracle" `Quick
+            test_busy_wait_cross_view;
         ] );
       ( "perturbation",
         [ Alcotest.test_case "csv identical on/off" `Quick

@@ -1,6 +1,5 @@
 module Histogram = Adios_stats.Histogram
 module Summary = Adios_stats.Summary
-module Breakdown = Adios_stats.Breakdown
 module Integrator = Adios_stats.Integrator
 module Sim = Adios_engine.Sim
 
@@ -159,37 +158,6 @@ let test_hist_count_le_boundaries () =
   check_int "le 128 includes its whole bucket" 6 (Histogram.count_le h 128);
   check_int "le max" 6 (Histogram.count_le h 1_000_000)
 
-let components total =
-  let c = Breakdown.make () in
-  c.Breakdown.compute <- total;
-  c
-
-let test_breakdown () =
-  let b = Breakdown.create () in
-  for i = 1 to 1000 do
-    Breakdown.record b (components i)
-  done;
-  check_int "count" 1000 (Breakdown.count b);
-  (match Breakdown.at_percentile b 50. with
-  | None -> Alcotest.fail "empty"
-  | Some c -> check_bool "p50 compute" true (abs (c.Breakdown.compute - 500) < 20));
-  match Breakdown.at_percentile b 99.9 with
-  | None -> Alcotest.fail "empty"
-  | Some c -> check_bool "p999 compute" true (c.Breakdown.compute > 950)
-
-let test_breakdown_total () =
-  let c = Breakdown.make () in
-  c.Breakdown.queue <- 10;
-  c.Breakdown.queue_busywait <- 4;
-  c.Breakdown.compute <- 20;
-  c.Breakdown.pf_sw <- 5;
-  c.Breakdown.rdma <- 30;
-  c.Breakdown.busy_wait <- 0;
-  c.Breakdown.ready_wait <- 7;
-  c.Breakdown.tx <- 3;
-  (* queue_busywait is a subset of queue, not added again *)
-  check_int "total" 75 (Breakdown.total c)
-
 let test_integrator () =
   let sim = Sim.create () in
   let i = Integrator.create sim in
@@ -237,11 +205,6 @@ let () =
           Alcotest.test_case "of_histogram" `Quick test_summary;
           Alcotest.test_case "empty" `Quick test_summary_empty;
           Alcotest.test_case "single sample" `Quick test_summary_single_sample;
-        ] );
-      ( "breakdown",
-        [
-          Alcotest.test_case "at_percentile" `Quick test_breakdown;
-          Alcotest.test_case "total" `Quick test_breakdown_total;
         ] );
       ( "integrator",
         [

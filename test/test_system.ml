@@ -7,6 +7,8 @@ module Summary = Adios_stats.Summary
 module Rng = Adios_engine.Rng
 module App = Adios_core.App
 module Request = Adios_core.Request
+module Profiler = Adios_prof.Profiler
+module Phase = Adios_prof.Phase
 
 let check = Alcotest.check
 let check_bool = check Alcotest.bool
@@ -14,9 +16,9 @@ let check_int = check Alcotest.int
 
 let small_array () = Adios_apps.Array_bench.app ~pages:2048 ()
 
-let run ?(cfg_tweak = fun c -> c) system ~load ~requests =
+let run ?(cfg_tweak = fun c -> c) ?profile system ~load ~requests =
   let cfg = cfg_tweak (Config.default system) in
-  Runner.run cfg (small_array ()) ~offered_krps:load ~requests ()
+  Runner.run cfg (small_array ()) ~offered_krps:load ~requests ?profile ()
 
 let test_conservation () =
   List.iter
@@ -216,23 +218,33 @@ let test_memcached_set_mix_writes_back () =
   check_bool "set summaries present" true
     (List.mem_assoc "SET" r.Runner.kind_summaries)
 
+(* Figs. 2(c)/7(c) come from the profiler's percentile windows *)
+let window name (r : Runner.result) band =
+  match r.Runner.prof with
+  | None -> Alcotest.fail (name ^ ": run did not profile")
+  | Some s -> (
+    match
+      Array.find_opt (fun w -> String.equal w.Profiler.band band)
+        s.Profiler.windows
+    with
+    | Some w -> (s, w)
+    | None -> Alcotest.fail (Printf.sprintf "%s: no %s window" name band))
+
+let phase (w : Profiler.band_stats) p = w.Profiler.phase_cycles.(Phase.index p)
+
 let test_breakdown_recorded () =
-  let r = run Config.Dilos ~load:1200. ~requests:10_000 in
-  check_bool "breakdown entries" true
-    (Adios_stats.Breakdown.count r.Runner.breakdown > 5000);
-  match Adios_stats.Breakdown.at_percentile r.Runner.breakdown 50. with
-  | None -> Alcotest.fail "no breakdown"
-  | Some c ->
-    check_bool "p50 rdma dominated" true
-      (c.Adios_stats.Breakdown.rdma > c.Adios_stats.Breakdown.compute)
+  let r = run ~profile:true Config.Dilos ~load:1200. ~requests:10_000 in
+  let s, w = window "DiLOS" r "P50" in
+  check_bool "measured requests" true (s.Profiler.measured > 5000);
+  check_bool "p50 spins longer than it computes" true
+    (phase w Phase.Busy_wait > phase w Phase.App_compute)
 
 let test_adios_breakdown_has_no_tx_wait () =
-  let r = run Config.Adios ~load:1200. ~requests:10_000 in
-  match Adios_stats.Breakdown.at_percentile r.Runner.breakdown 99. with
-  | None -> Alcotest.fail "no breakdown"
-  | Some c ->
-    check_int "delegated tx wait" 0 c.Adios_stats.Breakdown.tx;
-    check_bool "ready_wait present" true (c.Adios_stats.Breakdown.ready_wait > 0)
+  let r = run ~profile:true Config.Adios ~load:1200. ~requests:10_000 in
+  let _, w = window "Adios" r "P99" in
+  check_int "no busy-wait" 0 (phase w Phase.Busy_wait);
+  check_int "no slashed queue" 0 w.Profiler.slashed_queue;
+  check_bool "ready wait present" true (phase w Phase.Steal_wait > 0)
 
 let () =
   Alcotest.run "system"
