@@ -18,21 +18,8 @@ module Checker = Adios_trace.Checker
 module Registry = Adios_obs.Registry
 module Openmetrics = Adios_obs.Openmetrics
 
-let system_names = [ "adios"; "dilos"; "dilos-p"; "hermit"; "steal" ]
-
 let system_conv =
-  let parse = function
-    | "dilos" -> Ok Config.Dilos
-    | "dilos-p" | "dilosp" -> Ok Config.Dilos_p
-    | "adios" -> Ok Config.Adios
-    | "hermit" -> Ok Config.Hermit
-    | "steal" -> Ok Config.Steal
-    | s ->
-      Error
-        (`Msg
-           (Printf.sprintf "unknown system %S (valid: %s)" s
-              (String.concat ", " system_names)))
-  in
+  let parse s = Result.map_error (fun m -> `Msg m) (Config.of_name s) in
   let print ppf s = Format.pp_print_string ppf (Config.system_name s) in
   Cmdliner.Arg.conv (parse, print)
 
@@ -253,7 +240,7 @@ let system_arg =
     value
     & opt system_conv Config.Adios
     & info [ "system"; "s" ] ~docv:"SYSTEM"
-        ~doc:"System under test: adios, dilos, dilos-p or hermit.")
+        ~doc:"System under test: adios, dilos, dilos-p, hermit or steal.")
 
 let app_arg =
   Arg.(

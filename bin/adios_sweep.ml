@@ -25,18 +25,7 @@ let bundle spec ?k ds =
   else if List.mem Config.Steal spec.Spec.systems then Oracle.check_steal ?k ds
   else Oracle.check_all ?k ds
 
-let system_of_name = function
-  | "dilos" -> Ok Config.Dilos
-  | "dilos-p" | "dilosp" -> Ok Config.Dilos_p
-  | "adios" -> Ok Config.Adios
-  | "hermit" -> Ok Config.Hermit
-  | "steal" -> Ok Config.Steal
-  | s ->
-    Error
-      (`Msg
-         (Printf.sprintf "unknown system %S (valid: %s)" s
-            (String.concat ", "
-               [ "adios"; "dilos"; "dilos-p"; "hermit"; "steal" ])))
+let system_of_name s = Result.map_error (fun m -> `Msg m) (Config.of_name s)
 
 let comma_list conv_one =
   let parse s =
@@ -51,10 +40,21 @@ let comma_list conv_one =
   in
   parse
 
-let float_of_name s =
+(* A load or a count outside its range is a usage error (exit 124),
+   never a nonsensical point. *)
+let positive_load s =
   match float_of_string_opt s with
-  | Some f -> Ok f
+  | Some f when Float.is_finite f && f > 0. -> Ok f
+  | Some _ -> Error (`Msg ("load must be positive, got " ^ s))
   | None -> Error (`Msg ("not a number: " ^ s))
+
+let positive_int =
+  Cmdliner.Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | _ -> Error (`Msg ("expected a positive integer, got " ^ s))),
+      Format.pp_print_int )
 
 (* --- output ------------------------------------------------------------- *)
 
@@ -390,7 +390,7 @@ let apps_arg =
 let loads_arg =
   let loads_conv =
     Arg.conv
-      ( comma_list float_of_name,
+      ( comma_list positive_load,
         fun ppf l ->
           Format.pp_print_string ppf
             (String.concat "," (List.map (Printf.sprintf "%g") l)) )
@@ -402,7 +402,7 @@ let loads_arg =
 
 let requests_arg =
   Arg.(
-    value & opt int 4000
+    value & opt positive_int 4000
     & info [ "requests"; "n" ] ~docv:"N" ~doc:"Requests per point.")
 
 let seed_arg =
@@ -414,16 +414,8 @@ let seed_arg =
            and its grid position.")
 
 let jobs_arg =
-  let positive_conv =
-    Arg.conv
-      ( (fun s ->
-          match int_of_string_opt s with
-          | Some n when n >= 1 -> Ok n
-          | _ -> Error (`Msg ("expected a positive integer, got " ^ s))),
-        Format.pp_print_int )
-  in
   Arg.(
-    value & opt positive_conv 1
+    value & opt positive_int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Run up to N points in parallel (1 = in-process sequential). \

@@ -1,19 +1,42 @@
-(** Configuration of one system-under-test instance. *)
+(** Configuration of one system-under-test instance.
 
-(** Which paper system the compute node runs. *)
+    A system is a setting of three orthogonal mechanisms — how a page
+    fault waits ({!wait}), whether Concord-style preemption runs
+    ([preempt]) and whether faults take a kernel path ([kernel_path]) —
+    plus the dispatch, TX and reclaim policies. The five paper systems
+    are presets over these fields ({!default}); the simulator never
+    branches on a system's name. *)
+
+(** The paper's systems, as names of presets. *)
 type system =
   | Dilos  (** busy-waiting page-fault handling (the DiLOS baseline) *)
   | Dilos_p  (** DiLOS plus Concord-style 5 us preemptive scheduling *)
   | Adios  (** yield-based handling with unithreads *)
   | Hermit  (** kernel-based busy-waiting MD *)
   | Steal
-      (** Adios's yield-based protocol on per-CPU run queues: arrivals
-          are sprayed round-robin, idle CPUs steal both queued arrivals
-          and blocked-then-resumed requests from siblings — the
+      (** Adios on per-CPU run queues with work stealing: the
           distributed-dispatch contrast to the paper's centralized
           Algorithm 1 (cf. the scheduling studies in Atlas and MIND) *)
 
 val system_name : system -> string
+(** The result label: ["DiLOS"], ["DiLOS-P"], ["Adios"], ["Hermit"],
+    ["Steal"]. *)
+
+val all : system list
+(** Every preset, in CLI listing order. *)
+
+val of_name : string -> (system, string) result
+(** Parse a CLI system name: the lower-cased label, its hyphen optional
+    (["dilos-p"] or ["dilosp"]). The error lists the valid names. *)
+
+(** How a faulting unithread waits for its page. *)
+type wait =
+  | Spin
+      (** busy-wait on the CQE: the worker burns the fetch's round trip
+          (DiLOS, DiLOS-P, Hermit) *)
+  | Yield
+      (** post the READ and switch away; the CQE re-queues the
+          unithread on its worker's ready queue (Adios) *)
 
 (** Request dispatching / queueing policy. The first two are single
     (centralized) queue variants; the last two are the designs section
@@ -26,7 +49,10 @@ type dispatch =
           with no rebalancing (the shared-nothing model of ZygOS' study) *)
   | Work_stealing
       (** per-worker queues; an idle worker scans its siblings and
-          steals the head of the longest queue (approximated c-FCFS) *)
+          steals the head of the longest queue (approximated c-FCFS).
+          Once its own queues are empty it also steals a resumed
+          unithread from the longest sibling ready queue, re-homing
+          it; ready queues fill only under {!Yield} *)
 
 val dispatch_name : dispatch -> string
 
@@ -44,8 +70,6 @@ type tx_mode =
           completions are reaped lazily off the worker's critical path
           (DiLOS' breakdown in Fig. 2(c) shows no TX wait) *)
 
-val tx_mode_name : tx_mode -> string
-
 (** Remote-page prefetching at the fault handler. *)
 type prefetch =
   | No_prefetch
@@ -57,7 +81,15 @@ type prefetch =
 val prefetch_name : prefetch -> string
 
 type t = {
-  system : system;
+  name : string;  (** result label (CSV, metrics, reports) *)
+  wait : wait;  (** page-fault wait: spin or yield *)
+  preempt : bool;
+      (** Concord-style preemption: handlers probe at checkpoints and
+          a unithread that ran past the 5 us quantum is requeued *)
+  kernel_path : bool;
+      (** faults and request entry go through the kernel: a software
+          surcharge per fault plus a per-request entry cost with rare
+          jitter (Hermit) *)
   dispatch : dispatch;
   tx_mode : tx_mode;
   prefetch : prefetch;
@@ -85,7 +117,22 @@ type t = {
 }
 
 val default : system -> t
-(** The paper's standard setup for [system]: 8 workers, 20% local DRAM,
-    PF-aware dispatch + delegation for Adios, round-robin + synchronous
-    TX for the busy-waiting systems, proactive reclaimer for Adios and
-    wakeup reclaimer for the baselines. *)
+(** The paper's standard setup for [system]: 8 workers, 20% local DRAM.
+    The preset table:
+
+    {v
+    preset   wait   preempt  kernel_path  dispatch       tx_mode    reclaim
+    DiLOS    Spin   -        -            Round_robin    deferred   wakeup
+    DiLOS-P  Spin   yes      -            Round_robin    deferred   wakeup
+    Hermit   Spin   -        yes          Round_robin    deferred   wakeup
+    Adios    Yield  -        -            Pf_aware       delegated  proactive
+    Steal    Yield  -        -            Work_stealing  delegated  proactive
+    v} *)
+
+val validate : t -> unit
+(** Reject a configuration no run can mean: [workers], [qp_depth],
+    [buffer_count] or [central_queue_capacity] below 1, [local_ratio]
+    outside [[0, 1]], a negative [fetch_timeout] or [fetch_retries],
+    or [Stride d] with [d < 1]. Called by {!Runner.run}.
+
+    @raise Invalid_argument naming the offending field. *)

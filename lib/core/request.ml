@@ -4,7 +4,6 @@ type t = {
   id : int;
   spec : spec;
   tx_at : int;
-  mutable rx_at : int;
   mutable done_at : int;
   mutable buffer : int;
   mutable errored : bool;
@@ -16,7 +15,6 @@ let make ~id ~spec ~tx_at =
     id;
     spec;
     tx_at;
-    rx_at = 0;
     done_at = 0;
     buffer = -1;
     errored = false;

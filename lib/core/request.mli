@@ -12,7 +12,6 @@ type t = {
   id : int;
   spec : spec;
   tx_at : int;  (** load-generator hardware TX timestamp *)
-  mutable rx_at : int;  (** compute-node RX timestamp *)
   mutable done_at : int;  (** reply delivered back to the load generator *)
   mutable buffer : int;  (** unithread buffer id, -1 before admission *)
   mutable errored : bool;

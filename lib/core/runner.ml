@@ -99,6 +99,7 @@ let register_gauges timeline system =
 let run cfg app ~offered_krps ~requests ?warmup ?(max_seconds = 30.) ?trace
     ?timeline ?metrics ?snapshot ?(sample_period = Clock.of_us 5.)
     ?(profile = false) () =
+  Config.validate cfg;
   let warmup = match warmup with Some w -> w | None -> requests / 10 in
   let sim = Sim.create () in
   let prof = if profile then Some (Profiler.create ()) else None in
@@ -129,7 +130,7 @@ let run cfg app ~offered_krps ~requests ?warmup ?(max_seconds = 30.) ?trace
     end
   in
   let system = System.create ?trace ?prof sim cfg app ~on_reply in
-  let labels = [ ("system", Config.system_name cfg.Config.system) ] in
+  let labels = [ ("system", cfg.Config.name) ] in
   (match metrics with
   | Some reg -> System.register_metrics system reg ~labels
   | None -> ());
@@ -168,7 +169,7 @@ let run cfg app ~offered_krps ~requests ?warmup ?(max_seconds = 30.) ?trace
   let to_compute =
     Raw_eth.create sim ~link:client_link
       ~latency_cycles:Params.eth_latency_cycles
-      ~deliver:(fun ~rx_at req -> System.receive system ~rx_at req)
+      ~deliver:(fun ~rx_at:_ req -> System.receive system req)
   in
   (* measurement window bookkeeping, armed when the warmup ends *)
   let window_start = ref 0 in
@@ -231,7 +232,7 @@ let run cfg app ~offered_krps ~requests ?warmup ?(max_seconds = 30.) ?trace
      and would dilute the per-worker picture *)
   let share st = Accountant.share cpu ~cpus:cfg.Config.workers st in
   {
-    system = Config.system_name cfg.Config.system;
+    system = cfg.Config.name;
     app = app.App.name;
     requests;
     offered_krps = offered_window;

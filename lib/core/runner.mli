@@ -109,7 +109,8 @@ val run :
     (default 5 us).
 
     [metrics], if given, has the full metric set registered into it
-    ({!System.register_metrics}) under a [system] label; read it after
+    ({!System.register_metrics}) under a [system] label carrying
+    [cfg.name]; read it after
     [run] returns (e.g. through {!Adios_obs.Openmetrics.render}).
     [snapshot], if given, is sampled with every scalar metric as a
     series. Both periodic consumers — [timeline] and [snapshot] — are
@@ -121,4 +122,6 @@ val run :
     {!Adios_prof.Phase} segmentation and aggregated into [result.prof].
     Profiling is perturbation-free — the same seed yields byte-identical
     results with it on or off — and, when [metrics] is given, the
-    [adios_req_phase_*] series are registered alongside the system's. *)
+    [adios_req_phase_*] series are registered alongside the system's.
+
+    @raise Invalid_argument when {!Config.validate} rejects [cfg]. *)

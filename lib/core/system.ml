@@ -73,14 +73,11 @@ type t = {
   arena : Arena.t;
   pager : Pager.t;
   cluster : Cluster.t;
-  memnode : Memnode.t;  (** node 0 (the whole cluster under defaults) *)
   nic : (unit -> unit) Nic.t;  (** node 0's NIC *)
   reclaim_qps : (unit -> unit) Nic.qp array;  (** one per memory node *)
   reclaim_cq : (unit -> unit) Verbs.Cq.t;
   reply_channel : Request.t Raw_eth.t;
-  reply_link : Link.t;
   rdma_rx_link : Link.t;
-  rdma_tx_link : Link.t;
   workers : worker array;
   pending : entry Queue.t;
   dispatch_gate : Proc.Gate.t;
@@ -169,17 +166,12 @@ let reclaimer t =
 
 let buffers t = t.buffers
 let rdma_rx_link t = t.rdma_rx_link
-let rdma_tx_link t = t.rdma_tx_link
-let reply_link t = t.reply_link
-let memnode t = t.memnode
 let cluster t = t.cluster
-let arena t = t.arena
 
 (* Congestion signal of a worker: fetches outstanding across all its
    QPs (one per memory node; a single sum, exactly the old per-QP count
    under the default single-node topology). *)
 let qp_load w = Array.fold_left (fun acc qp -> acc + Nic.outstanding qp) 0 w.qps
-let worker_outstanding t = Array.map qp_load t.workers
 let node_memnode t node = (Cluster.nodes t.cluster).(node).Cluster.memnode
 let prefetch_stats t = t.prefetch_stats
 let pending_depth t = Queue.length t.pending
@@ -191,11 +183,6 @@ let ready_backlog t =
 
 let busy_workers t =
   Array.fold_left (fun acc w -> if w.idle then acc else acc + 1) 0 t.workers
-
-let is_busywait cfg =
-  match cfg.Config.system with
-  | Config.Dilos | Config.Dilos_p | Config.Hermit -> true
-  | Config.Adios | Config.Steal -> false
 
 (* Drain a CQ, executing the per-completion callbacks immediately: a
    spinning poller sees its CQE the moment it arrives; yield-mode
@@ -228,16 +215,16 @@ let spin_on_inflight t e page =
   enter t e Phase.Pf_software
 
 (* Make a blocked-then-resumed entry runnable again: push it on its
-   worker's ready queue and wake that worker. Under the Steal system
-   the ready queues are steal targets, so idle siblings are woken too —
-   one of them may grab the entry before the (busy) owner gets to it. *)
+   worker's ready queue and wake that worker. Under work stealing the
+   ready queues are steal targets, so idle siblings are woken too — one
+   of them may grab the entry before the (busy) owner gets to it. *)
 let enqueue_ready t (w : worker) e =
   (* fetch wire time ends here; from the CQE until a worker (owner or
      thief) polls the entry back in, the request waits in a ready queue *)
   enter t e Phase.Steal_wait;
   Queue.push e w.ready;
   Proc.Gate.signal w.gate;
-  if t.cfg.Config.system = Config.Steal then
+  if t.cfg.Config.dispatch = Config.Work_stealing then
     Array.iter
       (fun s -> if s.idle && s.wid <> w.wid then Proc.Gate.signal s.gate)
       t.workers
@@ -350,8 +337,9 @@ let rec ensure_present t e page =
     let rid = e.req.Request.id and wid = worker_id e in
     ev t Trace_event.Fault_begin ~req:rid ~worker:wid ~page;
     ev t Trace_event.Coalesce ~req:rid ~worker:wid ~page;
-    if is_busywait t.cfg then spin_on_inflight t e page
-    else yield_on_inflight t e page;
+    (match t.cfg.Config.wait with
+    | Config.Spin -> spin_on_inflight t e page
+    | Config.Yield -> yield_on_inflight t e page);
     ev t Trace_event.Fault_end ~req:rid ~worker:wid ~page;
     ensure_present t e page
   | Pager.Remote -> fault t e page
@@ -361,14 +349,10 @@ and fault t e page =
   t.counters.faults <- t.counters.faults + 1;
   let rid = e.req.Request.id and wid = worker_id e in
   ev t Trace_event.Fault_begin ~req:rid ~worker:wid ~page;
-  let sw =
-    Params.fault_sw_cycles
-    +
-    match t.cfg.Config.system with
-    | Config.Hermit -> Params.hermit_fault_extra_cycles
-    | Config.Dilos | Config.Dilos_p | Config.Adios | Config.Steal -> 0
-  in
-  charge_pf t e sw;
+  charge_pf t e
+    (if t.cfg.Config.kernel_path then
+       Params.fault_sw_cycles + Params.hermit_fault_extra_cycles
+     else Params.fault_sw_cycles);
   let w = match e.worker with Some w -> w | None -> assert false in
   (* acquire a frame and a QP slot; re-examine the page after each
      blocking wait since the world moves while we sleep *)
@@ -495,22 +479,21 @@ and fault t e page =
               end)
       end
     in
-    if is_busywait t.cfg then begin
+    (match t.cfg.Config.wait with
+    | Config.Spin ->
       (* the spin covers the post (incl. QP backoff) and the CQE wait *)
       enter t e Phase.Busy_wait;
       post_attempt ~blocking:true 0;
       if !outcome = `Pending then Proc.suspend (fun resume -> waker := resume);
       enter t e Phase.Pf_software
-    end
-    else begin
+    | Config.Yield ->
       (* Adios: issue and yield (Fig. 5 steps 4-5, 8-10). *)
       waker := (fun () -> enqueue_ready t w e);
       (* wire time opens before the post so a blocking QP backoff counts
          against the fetch; the CQE's [enqueue_ready] closes it *)
       enter t e Phase.Fetch_wire;
       post_attempt ~blocking:true 0;
-      if !outcome = `Pending then Task.suspend ()
-    end;
+      if !outcome = `Pending then Task.suspend ());
     (match !outcome with
     | `Failed ->
       ev t Trace_event.Req_error ~req:rid ~worker:wid ~page;
@@ -540,8 +523,7 @@ let make_ctx t e =
     Proc.wait cycles
   in
   let checkpoint () =
-    match t.cfg.Config.system with
-    | Config.Dilos_p ->
+    if t.cfg.Config.preempt then begin
       compute Params.preempt_probe_cycles;
       if
         Sim.now t.sim - e.quantum_start >= Params.preempt_interval_cycles
@@ -552,7 +534,7 @@ let make_ctx t e =
         e.preempted <- true;
         Task.suspend ()
       end
-    | Config.Dilos | Config.Adios | Config.Hermit | Config.Steal -> ()
+    end
   in
   let view =
     View.make t.arena ~touch:(fun ~addr ~len ~write ->
@@ -642,8 +624,7 @@ let run_entry t w e =
   | None ->
     enter t e Phase.Ctx_switch;
     Proc.wait (Params.unithread_create_cycles + Params.ctx_switch_cycles);
-    (match t.cfg.Config.system with
-    | Config.Hermit ->
+    if t.cfg.Config.kernel_path then begin
       enter t e Phase.App_compute;
       Proc.wait Params.hermit_request_extra_cycles;
       if Rng.uniform t.rng < Params.hermit_jitter_probability then begin
@@ -652,7 +633,7 @@ let run_entry t w e =
         in
         Proc.wait (Params.hermit_jitter_min_cycles + Rng.int t.rng span)
       end
-    | Config.Dilos | Config.Dilos_p | Config.Adios | Config.Steal -> ());
+    end;
     e.quantum_start <- Sim.now t.sim;
     let ctx = make_ctx t e in
     let task =
@@ -669,6 +650,9 @@ let resume_ready t e =
      rather than splitting it (an extra event could shift tie-breaks) *)
   enter t e Phase.Cq_poll;
   Proc.wait (Params.poll_cycles + Params.ctx_switch_cycles);
+  (* a fresh quantum, as for a preempted task switched back in: the
+     fetch's wire time was not spent on the CPU *)
+  e.quantum_start <- Sim.now t.sim;
   match e.task with
   | Some task -> step_task t e task
   | None -> assert false
@@ -684,13 +668,17 @@ let account_dequeue t (w : worker) e =
         ~workers:(Array.length t.workers)
     | None -> ()
 
-(* Work stealing: take the head of the longest sibling queue (FCFS
-   order within the victim); the scan itself costs cycles. *)
-let try_steal t (w : worker) =
+(* Work stealing: take the head of the longest sibling queue [q v]
+   (FCFS order within the victim) and re-home the entry — a stolen
+   resumed request issues its later faults on the thief's QPs and its
+   later resumptions land on the thief. The scan costs cycles, and the
+   victim may drain its own queue during that wait (the take
+   re-checks). *)
+let try_steal t (w : worker) q =
   let victim = ref None and best = ref 0 in
   Array.iter
     (fun v ->
-      let len = Queue.length v.local in
+      let len = Queue.length (q v) in
       if v.wid <> w.wid && len > !best then begin
         victim := Some v;
         best := len
@@ -700,34 +688,7 @@ let try_steal t (w : worker) =
   | Some v ->
     acct_cpu t ~cpu:w.wid Acct.Dispatch;
     Proc.wait Params.steal_cycles;
-    let taken = Queue.take_opt v.local in
-    (match taken with
-    | Some _ -> t.counters.steals <- t.counters.steals + 1
-    | None -> ());
-    taken
-  | None -> None
-
-(* The Steal system's extra axis: an idle worker also steals
-   blocked-then-resumed requests from the longest sibling *ready*
-   queue, re-homing the request — its later faults are issued on the
-   thief's QPs and its later resumptions land on the thief. The scan
-   costs the same as a local-queue steal, and the victim may drain its
-   own queue during that wait (the take re-checks). *)
-let try_steal_ready t (w : worker) =
-  let victim = ref None and best = ref 0 in
-  Array.iter
-    (fun v ->
-      let len = Queue.length v.ready in
-      if v.wid <> w.wid && len > !best then begin
-        victim := Some v;
-        best := len
-      end)
-    t.workers;
-  match !victim with
-  | Some v ->
-    acct_cpu t ~cpu:w.wid Acct.Dispatch;
-    Proc.wait Params.steal_cycles;
-    let taken = Queue.take_opt v.ready in
+    let taken = Queue.take_opt (q v) in
     (match taken with
     | Some e ->
       t.counters.steals <- t.counters.steals + 1;
@@ -758,22 +719,22 @@ let rec worker_loop t (w : worker) =
         run_entry t w e;
         worker_loop t w
       | None -> (
-        let stolen =
-          if t.cfg.Config.dispatch = Config.Work_stealing then try_steal t w
-          else None
-        in
-        match stolen with
+        (* steal queued arrivals first, then resumed requests; ready
+           queues fill only under [Yield], so a spinning system finds
+           nothing in the second scan *)
+        let stealing = t.cfg.Config.dispatch = Config.Work_stealing in
+        match
+          if stealing then try_steal t w (fun v -> v.local) else None
+        with
         | Some e ->
           w.idle <- false;
           account_dequeue t w e;
           run_entry t w e;
           worker_loop t w
         | None -> (
-          let resumed =
-            if t.cfg.Config.system = Config.Steal then try_steal_ready t w
-            else None
-          in
-          match resumed with
+          match
+            if stealing then try_steal t w (fun v -> v.ready) else None
+          with
           | Some e ->
             w.idle <- false;
             resume_ready t e;
@@ -866,8 +827,7 @@ let rec dispatcher_loop t =
 
 (* --- admission ----------------------------------------------------------- *)
 
-let receive t ~rx_at req =
-  req.Request.rx_at <- rx_at;
+let receive t req =
   if Queue.length t.pending >= t.cfg.Config.central_queue_capacity then begin
     t.counters.drops_queue <- t.counters.drops_queue + 1;
     ev t Trace_event.Req_drop_queue ~req:req.Request.id
@@ -1003,10 +963,8 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~on_reply =
   Pager.attach_locator pager (fun page ->
       fst (Cluster.route_read cluster ~page));
   let node0 = (Cluster.nodes cluster).(0) in
-  let memnode = node0.Cluster.memnode in
   let nic = node0.Cluster.nic in
   let rdma_rx_link = node0.Cluster.rx_link in
-  let rdma_tx_link = node0.Cluster.tx_link in
   let reply_link = Link.create sim ~gbps:Params.link_gbps ~wire_overhead:Params.wire_overhead () in
   let reply_channel =
     Raw_eth.create sim ~link:reply_link
@@ -1055,14 +1013,11 @@ let create ?(trace = Trace_sink.null) ?prof sim cfg app ~on_reply =
       arena;
       pager;
       cluster;
-      memnode;
       nic;
       reclaim_qps;
       reclaim_cq;
       reply_channel;
-      reply_link;
       rdma_rx_link;
-      rdma_tx_link;
       workers;
       pending = Queue.create ();
       dispatch_gate = Proc.Gate.create sim;

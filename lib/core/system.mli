@@ -1,27 +1,26 @@
 (** The simulated compute node: dispatcher, workers, page-fault handling
-    and reply transmission, configurable as any of the five systems under
-    test (Adios / DiLOS / DiLOS-P / Hermit / Steal).
+    and reply transmission. Behaviour follows the mechanism fields of
+    {!Config.t}, never a system name; the five systems under test are
+    presets over them ({!Config.default}).
 
     Datapath (Figs. 1, 3, 5): client packets arrive through
     {!receive}, are admitted into the bounded single queue, dispatched to
     idle workers (Algorithm 1 or round-robin), and served inside
     unithreads whose paged memory accesses fault through the configured
-    policy:
+    mechanisms:
 
-    - [Adios]: the fault posts a one-sided READ and the unithread yields;
-      the worker resumes it when the completion is polled. Reply TX
-      completions are delegated to the dispatcher's queue.
-    - [Dilos]: the fault busy-waits on the completion; the reply TX is
-      also synchronous.
-    - [Dilos_p]: like [Dilos] plus 5 us cooperative preemption at the
-      application's checkpoint probes.
-    - [Hermit]: like [Dilos] plus kernel-path costs and kernel jitter.
-    - [Steal]: Adios's yield-based fault protocol on per-CPU run
-      queues — arrivals are sprayed round-robin, and an idle worker
-      steals queued arrivals from siblings' local queues *and*
-      blocked-then-resumed requests from their ready queues (re-homing
-      the request onto its own QPs). The distributed-dispatch contrast
-      to Algorithm 1's centralized queue. *)
+    - [wait = Spin]: the fault busy-waits on the completion (DiLOS).
+    - [wait = Yield]: the fault posts a one-sided READ and the unithread
+      yields; the worker resumes it when the completion is polled
+      (Adios).
+    - [preempt]: 5 us cooperative preemption at the application's
+      checkpoint probes (DiLOS-P).
+    - [kernel_path]: kernel-path fault costs, per-request kernel entry
+      and kernel jitter (Hermit).
+    - [dispatch = Work_stealing]: arrivals are sprayed round-robin over
+      per-CPU run queues, and an idle worker steals queued arrivals from
+      siblings' local queues, then blocked-then-resumed requests from
+      their ready queues (re-homing the request onto its own QPs). *)
 
 type t
 
@@ -36,7 +35,7 @@ type counters = {
   mutable faults : int;  (** page faults taken (fetches issued) *)
   mutable coalesced : int;  (** faults absorbed by an in-flight fetch *)
   mutable qp_stalls : int;  (** fault handler pauses on a full QP *)
-  mutable preemptions : int;  (** DiLOS-P quantum expirations *)
+  mutable preemptions : int;  (** quantum expirations under [preempt] *)
   mutable writeback_stalls : int;  (** reclaimer pauses on a full QP *)
   mutable frame_stalls : int;
       (** faults that found no free frame and had to wait for the
@@ -52,9 +51,9 @@ type counters = {
       (** posts refused by a full QP on the prefetch path (the prefetch
           is abandoned, never silently lost) *)
   mutable steals : int;
-      (** requests taken from a sibling worker's queue: local-queue
-          steals under [Work_stealing] dispatch, plus ready-queue steals
-          of blocked-then-resumed requests under the [Steal] system *)
+      (** requests taken from a sibling worker's queue under
+          [Work_stealing] dispatch: queued arrivals from local queues
+          and blocked-then-resumed requests from ready queues *)
 }
 
 val create :
@@ -83,7 +82,7 @@ val create :
     trace sink and the accountant, the probes are perturbation-free —
     the caller finalizes each request from [on_reply]. *)
 
-val receive : t -> rx_at:int -> Request.t -> unit
+val receive : t -> Request.t -> unit
 (** Deliver a client request packet (wired to the inbound raw-Ethernet
     channel by the runner). *)
 
@@ -103,24 +102,9 @@ val rdma_rx_link : t -> Adios_rdma.Link.t
     utilization plotted in Figs. 2(e)/7(e)); see
     {!Adios_cluster.Cluster.total_rx_bytes} for the whole topology. *)
 
-val rdma_tx_link : t -> Adios_rdma.Link.t
-(** Node 0's compute-to-memory link carrying write-backs. *)
-
-val reply_link : t -> Adios_rdma.Link.t
-(** Compute-to-client link carrying replies. *)
-
-val memnode : t -> Adios_rdma.Memnode.t
-(** Memory node 0 — the whole cluster under the default topology. *)
-
 val cluster : t -> Adios_cluster.Cluster.t
 (** The memory-node topology: placement directory, per-node links and
     NICs, failover and re-replication state. *)
-
-val arena : t -> Adios_mem.Arena.t
-
-val worker_outstanding : t -> int array
-(** Per-worker outstanding page fetches (Algorithm 1's signal),
-    exposed for tests. *)
 
 val prefetch_stats : t -> Adios_mem.Prefetcher.stats
 (** Prefetch engine accounting (issued / useful / wasted). *)

@@ -5,6 +5,8 @@
    turn each shape into a pass/fail, so a model change that flattens
    Adios's advantage fails `dune runtest` instead of landing silently. *)
 
+module Config = Adios_core.Config
+
 type violation = string
 
 (* --- knee detection ----------------------------------------------------- *)
@@ -174,10 +176,16 @@ let check_cpu_conservation ?(tol = 0.01) ds =
             sum ])
     ds.Dataset.rows
 
-(* The yield-based systems: Adios, and the Steal variant that runs
-   Adios's fault protocol on per-CPU run queues. Both must show zero
-   spin; every other system is a busy-waiting baseline. *)
-let yield_systems = [ "Adios"; "Steal" ]
+(* The presets whose faults yield: they must show zero spin; every
+   other preset is a busy-waiting baseline. *)
+let yield_systems =
+  List.filter_map
+    (fun s ->
+      let cfg = Config.default s in
+      match cfg.Config.wait with
+      | Config.Yield -> Some cfg.Config.name
+      | Config.Spin -> None)
+    Config.all
 
 (* The paper's headline (Fig. 2): busy-waiting burns the baseline's
    worker cycles while the yield-based systems eliminate the spin

@@ -43,9 +43,10 @@ val check_cpu_conservation : ?tol:float -> Dataset.t -> violation list
     or double-count in the accounting instrumentation fails here. *)
 
 val yield_systems : string list
-(** The systems whose fault path yields instead of spinning (Adios and
-    the Steal variant); {!check_busywait_elimination} holds these to the
-    near-zero bound and everything else to the spinning floor. *)
+(** Labels of the presets whose faults yield instead of spinning
+    ([wait = Yield]: Adios and Steal); {!check_busywait_elimination}
+    holds these to the near-zero bound and everything else to the
+    spinning floor. *)
 
 val check_busywait_elimination :
   ?adios_max:float -> ?spin_min:float -> Dataset.t -> violation list

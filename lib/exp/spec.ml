@@ -45,6 +45,9 @@ let make ?(systems = [ Config.Hermit; Config.Dilos; Config.Dilos_p; Config.Adios
     ?(apps = [ "array" ]) ?(loads = [ 1000. ]) ?(requests = 4000) ?(seed = 42)
     ?(fault = Injector.none) ?(fetch_timeout_us = 50.) ?(fetch_retries = 3)
     ?local_ratio ?workers ?(clusters = [ Cluster.default ]) ~name () =
+  if requests < 1 then invalid_arg "Spec.make: requests must be at least 1";
+  if List.exists (fun l -> not (l > 0.)) loads then
+    invalid_arg "Spec.make: loads must be positive";
   let apps =
     List.map
       (fun n ->

@@ -58,7 +58,8 @@ val make :
     {!Adios_apps.Registry}. Defaults: all four systems, the array app,
     4000 requests, seed 42, clean fabric.
 
-    @raise Invalid_argument on an unknown app name. *)
+    @raise Invalid_argument on an unknown app name, [requests] below 1
+    or a load that is not positive. *)
 
 val clustered : t -> bool
 (** Any non-trivial topology on the cluster axis? (Drives whether

@@ -77,8 +77,6 @@ let switch t ~cpu state =
     c.entered_at <- now
   end
 
-let current t ~cpu = t.slots.(cpu).state
-
 let cycles_now t ~cpus state =
   let si = state_index state in
   let acc = ref 0 in

@@ -58,8 +58,6 @@ val switch : t -> cpu:int -> state -> unit
     non-empty, is recorded as one episode of that state. Switching to
     the current state is a no-op (episodes are not split). *)
 
-val current : t -> cpu:int -> state
-
 val cycles_now : t -> cpus:int -> state -> int
 (** Live twin of {!state_cycles}: cycles spent in a state so far,
     summed over the first [cpus] slots, without taking a snapshot. *)

@@ -29,8 +29,19 @@ let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
 let no_violations name vs = check Alcotest.(list string) name [] vs
 
-let all_systems =
-  [ Config.Dilos; Config.Dilos_p; Config.Hermit; Config.Adios; Config.Steal ]
+(* Every preset, plus mechanism combinations no preset names: a kernel
+   fault path under yield (the design point of lightweight-threading
+   swap systems) and preemption under yield. *)
+let all_configs =
+  let adios = Config.default Config.Adios in
+  List.map Config.default Config.all
+  @ [
+      { adios with Config.kernel_path = true; name = "Adios+kernel" };
+      { adios with Config.preempt = true; name = "Adios+preempt" };
+    ]
+
+let spinning = List.filter (fun c -> c.Config.wait = Config.Spin) all_configs
+let yielding = List.filter (fun c -> c.Config.wait = Config.Yield) all_configs
 
 let small_array () = Adios_apps.Array_bench.app ~pages:2048 ()
 
@@ -72,9 +83,9 @@ let clustered cfg =
 
 let tweaks = [ ("clean", clean); ("faulty", faulty); ("cluster", clustered) ]
 
-let run_profiled ?(cfg_tweak = clean) ?(seed = 42) ?metrics system ~load
+let run_profiled ?(cfg_tweak = clean) ?(seed = 42) ?metrics base ~load
     ~requests =
-  let cfg = cfg_tweak { (Config.default system) with Config.seed } in
+  let cfg = cfg_tweak { base with Config.seed } in
   Runner.run cfg (small_array ()) ~offered_krps:load ~requests ?metrics
     ~profile:true ()
 
@@ -117,18 +128,16 @@ let assert_invariants name (r : Runner.result) =
 
 let test_invariant_matrix () =
   List.iter
-    (fun system ->
+    (fun cfg ->
       List.iter
         (fun (tname, tweak) ->
-          let name =
-            Printf.sprintf "%s/%s" (Config.system_name system) tname
-          in
+          let name = Printf.sprintf "%s/%s" cfg.Config.name tname in
           let r =
-            run_profiled ~cfg_tweak:tweak system ~load:800. ~requests:6000
+            run_profiled ~cfg_tweak:tweak cfg ~load:800. ~requests:6000
           in
           assert_invariants name r)
         tweaks)
-    all_systems
+    all_configs
 
 (* qcheck widens the matrix over seeds and loads: any (system, fabric,
    seed, load) draw must preserve the invariant — the per-request
@@ -136,14 +145,15 @@ let test_invariant_matrix () =
 let prop_phase_sum_invariant =
   QCheck.Test.make ~name:"phase cycles sum to e2e on any config" ~count:15
     QCheck.(
-      quad (int_range 0 4) (int_range 0 2) (int_range 1 10_000)
-        (int_range 2 16))
-    (fun (sysi, tweaki, seed, load_hundreds) ->
-      let system = List.nth all_systems sysi in
+      quad
+        (int_range 0 (List.length all_configs - 1))
+        (int_range 0 2) (int_range 1 10_000) (int_range 2 16))
+    (fun (cfgi, tweaki, seed, load_hundreds) ->
+      let cfg = List.nth all_configs cfgi in
       let _, tweak = List.nth tweaks tweaki in
       let load = float_of_int (load_hundreds * 100) in
       let r =
-        run_profiled ~cfg_tweak:tweak ~seed system ~load ~requests:3000
+        run_profiled ~cfg_tweak:tweak ~seed cfg ~load ~requests:3000
       in
       let s = summary_exn "qcheck" r in
       s.Profiler.violations = 0 && s.Profiler.profiled = r.Runner.admitted)
@@ -152,21 +162,20 @@ let prop_phase_sum_invariant =
    repo reports anywhere — is byte-identical with profiling on or off. *)
 let test_perturbation_free () =
   List.iter
-    (fun system ->
+    (fun cfg ->
       let go profile =
-        let cfg = Config.default system in
         Runner.run cfg (small_array ()) ~offered_krps:900. ~requests:5000
           ~profile ()
       in
       let off = go false and on = go true in
       check Alcotest.string
-        (Config.system_name system ^ ": csv row identical on/off")
+        (cfg.Config.name ^ ": csv row identical on/off")
         (Export.csv_row off) (Export.csv_row on);
       check_bool
-        (Config.system_name system ^ ": prof present iff profiled")
+        (cfg.Config.name ^ ": prof present iff profiled")
         true
         (off.Runner.prof = None && on.Runner.prof <> None))
-    all_systems
+    all_configs
 
 let phase_total s p =
   Array.fold_left
@@ -179,28 +188,20 @@ let phase_total s p =
    waits are all on-CPU). *)
 let test_attribution_direction () =
   List.iter
-    (fun system ->
-      let r = run_profiled system ~load:1000. ~requests:6000 in
-      let s = summary_exn (Config.system_name system) r in
+    (fun cfg ->
+      let name = cfg.Config.name in
+      let r = run_profiled cfg ~load:1000. ~requests:6000 in
+      let s = summary_exn name r in
       let busy = phase_total s Phase.Busy_wait
       and wire = phase_total s Phase.Fetch_wire in
-      if List.mem (Config.system_name system) Oracle.yield_systems then begin
-        check_int
-          (Config.system_name system ^ ": yield system never busy-waits")
-          0 busy;
-        check_bool
-          (Config.system_name system ^ ": waits show up as fetch wire")
-          true (wire > 0)
-      end
-      else begin
-        check_bool
-          (Config.system_name system ^ ": baseline spins on its faults")
-          true (busy > 0);
-        check_int
-          (Config.system_name system ^ ": baseline never yields to the wire")
-          0 wire
-      end)
-    all_systems
+      match cfg.Config.wait with
+      | Config.Yield ->
+        check_int (name ^ ": yield system never busy-waits") 0 busy;
+        check_bool (name ^ ": waits show up as fetch wire") true (wire > 0)
+      | Config.Spin ->
+        check_bool (name ^ ": baseline spins on its faults") true (busy > 0);
+        check_int (name ^ ": baseline never yields to the wire") 0 wire)
+    all_configs
 
 (* --- percentile windows (Figs. 2(c)/7(c)) ---------------------------------- *)
 
@@ -243,9 +244,9 @@ let has k v labels =
 
 (* Busy-wait cycles as the two views export them: the request view
    (profiler phases) and the CPU view (accountant, worker CPUs only). *)
-let busy_wait_views ?cfg_tweak system ~load =
+let busy_wait_views ?cfg_tweak cfg ~load =
   let reg = Registry.create () in
-  let r = run_profiled ?cfg_tweak ~metrics:reg system ~load ~requests:6000 in
+  let r = run_profiled ?cfg_tweak ~metrics:reg cfg ~load ~requests:6000 in
   ( r,
     counter_sum reg "adios_req_phase_cycles_total" (has "phase" "busy_wait"),
     counter_sum reg "adios_cpu_state_cycles_total" (fun l ->
@@ -266,19 +267,19 @@ let dropping cfg =
    drops; the yield systems show none in either view. *)
 let test_busy_wait_cross_view () =
   List.iter
-    (fun system ->
+    (fun cfg ->
       List.iter
         (fun (tname, cfg_tweak) ->
-          let name = Printf.sprintf "%s/%s" (Config.system_name system) tname in
-          let _, req, cpu = busy_wait_views ~cfg_tweak system ~load:1000. in
+          let name = Printf.sprintf "%s/%s" cfg.Config.name tname in
+          let _, req, cpu = busy_wait_views ~cfg_tweak cfg ~load:1000. in
           check_bool (name ^ ": spins") true (cpu > 0);
           check_int (name ^ ": request view = CPU view") cpu req)
         [ ("clean", clean); ("drops", dropping); ("faulty", faulty) ])
-    [ Config.Dilos; Config.Dilos_p; Config.Hermit ];
+    spinning;
   List.iter
-    (fun system ->
-      let name = Config.system_name system in
-      let r, req, cpu = busy_wait_views system ~load:1000. in
+    (fun cfg ->
+      let name = cfg.Config.name in
+      let r, req, cpu = busy_wait_views cfg ~load:1000. in
       check_int (name ^ ": no busy-wait, request view") 0 req;
       check_int (name ^ ": no busy-wait, CPU view") 0 cpu;
       Array.iter
@@ -286,11 +287,12 @@ let test_busy_wait_cross_view () =
           check_int (name ^ ": window has no slashed queue") 0
             w.Profiler.slashed_queue)
         (summary_exn name r).Profiler.windows)
-    [ Config.Adios; Config.Steal ];
+    yielding;
   (* a synchronous TX spin outlives the request: the profiler closes it
      at reply RX while the worker still spins on the TX CQE *)
   let _, req, cpu =
-    busy_wait_views Config.Adios ~load:1000. ~cfg_tweak:(fun c ->
+    busy_wait_views (Config.default Config.Adios) ~load:1000.
+      ~cfg_tweak:(fun c ->
         { c with Config.tx_mode = Config.Tx_sync_spin })
   in
   check_bool "sync TX: request view spins" true (req > 0);
@@ -326,7 +328,7 @@ let test_sweep_phases () =
 (* --- folded stacks ------------------------------------------------------- *)
 
 let test_folded_stacks () =
-  let r = run_profiled Config.Adios ~load:1000. ~requests:6000 in
+  let r = run_profiled (Config.default Config.Adios) ~load:1000. ~requests:6000 in
   let s = summary_exn "folded" r in
   let lines = Profiler.folded ~root:"Adios/array" s in
   check_bool "nonempty" true (lines <> []);

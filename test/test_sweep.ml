@@ -297,6 +297,26 @@ let test_unknown_app_rejected () =
        ("Spec.make: " ^ Adios_apps.Registry.unknown "nope"))
     (fun () -> ignore (Spec.make ~apps:[ "nope" ] ~name:"x" ()))
 
+(* A grid point with no arrivals or a non-positive load is no
+   measurement: rejected when the spec is built, before any point runs. *)
+let test_bad_grid_rejected () =
+  let rejects name f =
+    match f () with
+    | (_ : Spec.t) -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun requests ->
+      rejects (Printf.sprintf "requests=%d" requests) (fun () ->
+          Spec.make ~requests ~name:"x" ()))
+    [ 0; -5 ];
+  List.iter
+    (fun loads ->
+      rejects
+        (String.concat "," (List.map string_of_float loads))
+        (fun () -> Spec.make ~loads ~name:"x" ()))
+    [ [ 0. ]; [ -100.; 0. ]; [ 500.; -1. ]; [ Float.nan ] ]
+
 (* --- oracles on synthetic data ------------------------------------------ *)
 
 (* A minimal dataset with just the columns a given oracle reads. *)
@@ -535,6 +555,8 @@ let () =
           Alcotest.test_case "point seeds" `Quick test_point_seeds;
           Alcotest.test_case "unknown app rejected" `Quick
             test_unknown_app_rejected;
+          Alcotest.test_case "bad grid rejected" `Quick
+            test_bad_grid_rejected;
         ] );
       ( "oracles",
         [

@@ -246,6 +246,86 @@ let test_adios_breakdown_has_no_tx_wait () =
   check_int "no slashed queue" 0 w.Profiler.slashed_queue;
   check_bool "ready wait present" true (phase w Phase.Steal_wait > 0)
 
+(* --- presets over mechanisms --------------------------------------------- *)
+
+(* The preset table: every system is a base preset plus named mechanism
+   fields, and nothing else differs. *)
+let test_preset_table () =
+  let d = Config.default in
+  let same name expected actual =
+    check_bool (name ^ " preset") true (expected = actual)
+  in
+  same "DiLOS-P"
+    { (d Config.Dilos) with Config.preempt = true; name = "DiLOS-P" }
+    (d Config.Dilos_p);
+  same "Hermit"
+    { (d Config.Dilos) with Config.kernel_path = true; name = "Hermit" }
+    (d Config.Hermit);
+  same "Steal"
+    {
+      (d Config.Adios) with
+      Config.dispatch = Config.Work_stealing;
+      name = "Steal";
+    }
+    (d Config.Steal);
+  check_bool "Adios yields" true ((d Config.Adios).Config.wait = Config.Yield);
+  check_bool "DiLOS spins" true ((d Config.Dilos).Config.wait = Config.Spin);
+  List.iter
+    (fun sys ->
+      let label = String.lowercase_ascii (Config.system_name sys) in
+      check_bool (label ^ " parses") true (Config.of_name label = Ok sys))
+    Config.all;
+  check_bool "dilosp parses" true (Config.of_name "dilosp" = Ok Config.Dilos_p);
+  check_bool "unknown rejected" true (Result.is_error (Config.of_name "linux"))
+
+(* Preemption under yield: a unithread resumed from its ready queue
+   starts a fresh quantum, so the fetch's wire time does not count
+   against it. Were the quantum carried across the fault, every
+   resumption would be preempted at its next checkpoint and
+   preemptions would equal faults. *)
+let test_preempt_yield_quantum () =
+  let r =
+    run Config.Adios ~load:600. ~requests:10_000 ~cfg_tweak:(fun c ->
+        { c with Config.preempt = true })
+  in
+  check_bool "faults taken" true (r.Runner.faults > 1000);
+  check_bool "preemptions well below faults" true
+    (r.Runner.preemptions < r.Runner.faults / 10);
+  check_int "conservation" 10_000 (r.Runner.completed + r.Runner.dropped)
+
+(* Every out-of-range field is rejected by name before a run starts. *)
+let test_validate () =
+  let base = Config.default Config.Adios in
+  let rejects field cfg =
+    match Config.validate cfg with
+    | () -> Alcotest.failf "%s: accepted" field
+    | exception Invalid_argument msg ->
+      check_bool
+        (Printf.sprintf "%s named in %S" field msg)
+        true
+        (String.starts_with ~prefix:("Config.validate: " ^ field ^ " ") msg)
+  in
+  Config.validate base;
+  rejects "workers" { base with Config.workers = 0 };
+  rejects "workers" { base with Config.workers = -1 };
+  rejects "qp_depth" { base with Config.qp_depth = 0 };
+  rejects "buffer_count" { base with Config.buffer_count = 0 };
+  rejects "central_queue_capacity"
+    { base with Config.central_queue_capacity = 0 };
+  rejects "local_ratio" { base with Config.local_ratio = -0.5 };
+  rejects "local_ratio" { base with Config.local_ratio = 2.0 };
+  rejects "local_ratio" { base with Config.local_ratio = Float.nan };
+  rejects "fetch_timeout" { base with Config.fetch_timeout = -1 };
+  rejects "fetch_retries" { base with Config.fetch_retries = -1 };
+  rejects "prefetch" { base with Config.prefetch = Config.Stride 0 };
+  (* the runner validates before it builds anything *)
+  match
+    Runner.run { base with Config.workers = 0 } (small_array ())
+      ~offered_krps:100. ~requests:10 ()
+  with
+  | (_ : Runner.result) -> Alcotest.fail "Runner.run accepted workers = 0"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "system"
     [
@@ -285,6 +365,14 @@ let () =
           Alcotest.test_case "wakeup reclaimer" `Quick
             test_wakeup_reclaimer_works;
           Alcotest.test_case "fault coalescing" `Quick test_fault_coalescing;
+        ] );
+      ( "presets",
+        [
+          Alcotest.test_case "preset table" `Quick test_preset_table;
+          Alcotest.test_case "preempt + yield restarts the quantum" `Quick
+            test_preempt_yield_quantum;
+          Alcotest.test_case "validate rejects out-of-range fields" `Quick
+            test_validate;
         ] );
       ( "breakdown",
         [
